@@ -4,7 +4,8 @@
     [Test.make] per experiment).  [--json] instead runs the E14 parallel
     speedup table plus the E15 telemetry-overhead measurement and writes
     [BENCH_parallel.json], then the E19 optimizer-effect table and
-    writes [BENCH_optimize.json].
+    writes [BENCH_optimize.json], then the E20 expansion table and
+    writes [BENCH_expansion.json].
 
     Run with: [dune exec bench/main.exe] *)
 
@@ -75,7 +76,7 @@ let e2 () =
 (* E3: Corollary 49 — Psi1 superlinear vs Psi2 linear                 *)
 (* ================================================================== *)
 
-let evaluate_support = Ucq.count_compiled
+let evaluate_support terms db = Ucq.count_terms terms db
 
 let e3 () =
   header
@@ -86,7 +87,7 @@ let e3 () =
     "Expected shape: t/|D| roughly flat for Psi2, growing for Psi1.\n\n";
   let psi1, ktk = Paper_examples.psi1 () in
   let psi2, _ = Paper_examples.psi2 () in
-  let support1 = Ucq.compile psi1 and support2 = Ucq.compile psi2 in
+  let support1 = Ucq.support psi1 and support2 = Ucq.support psi2 in
   let widths = [ 6; 9; 12; 12; 14; 14 ] in
   row widths
     [ "host n"; "|D|"; "t(Psi1) ms"; "t(Psi2) ms"; "us/|D| Psi1"; "us/|D| Psi2" ];
@@ -576,7 +577,7 @@ let bechamel_tests () =
   let open Bechamel in
   let psi1, ktk = Paper_examples.psi1 () in
   let psi2, _ = Paper_examples.psi2 () in
-  let support1 = Ucq.compile psi1 in
+  let support1 = Ucq.support psi1 in
   let db_small = Ktk.database_of_graph ktk (Graph.clique 5) in
   let db_graph = Generators.random_digraph ~seed:7 2000 8000 in
   let p4 = mkcq 4 [ [ 0; 1 ]; [ 1; 2 ]; [ 2; 3 ] ] [ 0; 1; 2; 3 ] in
@@ -948,10 +949,128 @@ let optimize_json () =
   print_string (Buffer.contents buf);
   prerr_endline "wrote BENCH_optimize.json"
 
+(* ================================================================== *)
+(* E20: --json — expansion by class transitions (BENCH_expansion.json) *)
+(* ================================================================== *)
+
+(* The disjunct shapes and width templates of the check_wide_unions
+   benchmark corpus (perfbench/gen.ml), rebuilt here because bench/
+   cannot link the harness.  Shapes are over the free pair (x, y), with
+   a and b quantified; template l holds the first l of the listed
+   shapes, in that order. *)
+let wide_shapes =
+  [
+    ("edge", [ ("x", "y") ]);
+    ("back", [ ("y", "x") ]);
+    ("hop2", [ ("x", "a"); ("a", "y") ]);
+    ("hop3", [ ("x", "a"); ("a", "b"); ("b", "y") ]);
+    ("tri", [ ("x", "y"); ("y", "a"); ("a", "x") ]);
+    ("cout", [ ("x", "a"); ("y", "a") ]);
+    ("cin", [ ("a", "x"); ("a", "y") ]);
+    ("sub_edge", [ ("x", "y"); ("x", "a") ]);
+    ("sq", [ ("x", "a"); ("a", "y"); ("y", "b"); ("b", "x") ]);
+    ("sub_hop2", [ ("x", "a"); ("a", "y"); ("a", "b") ]);
+    ("tri2", [ ("x", "a"); ("a", "y"); ("y", "x") ]);
+  ]
+
+let wide_template (l : int) : string list =
+  List.filteri
+    (fun i _ -> i < l)
+    [ "edge"; "hop2"; "tri"; "cout"; "sub_edge"; "hop3"; "hop2"; "back";
+      "cin"; "sq"; "sub_hop2"; "tri2" ]
+
+let wide_union (l : int) : Ucq.t =
+  let disjunct k shape =
+    let name v = if v = "x" || v = "y" then v else Printf.sprintf "%s%d" v k in
+    String.concat ", "
+      (List.map
+         (fun (s, t) -> Printf.sprintf "E(%s, %s)" (name s) (name t))
+         (List.assoc shape wide_shapes))
+  in
+  fst
+    (Parse.ucq
+       ("(x, y) :- " ^ String.concat " ; " (List.mapi disjunct (wide_template l))))
+
+(* The three small CNFs whose Lemma 51 unions (l = 8, 8, 9) the
+   benchmark corpus checks. *)
+let lemma51_cnfs =
+  [ (2, [ [ 1; 2 ]; [ -1; 2 ] ]); (2, [ [ 1; 2 ]; [ -1; -2 ] ]);
+    (2, [ [ 1; 2 ]; [ -1; 2 ]; [ 1; -2 ] ]) ]
+
+(** The E20 table: for Ψ₁, Ψ₂, the Lemma 51 unions of the benchmark's
+    CNFs and the synthetic l = 8–12 templates, the walk ([Ucq.expansion])
+    against the subset-by-subset reference ([Ucq.expansion_by_subsets]):
+    budget steps, #cores computed, classes and support size — all
+    deterministic — plus wall time.  [tools/bench_check.exe] requires
+    steps, classes and support to match the reference's, the two term
+    lists to be equal, and fewer #cores than subsets from l = 8 on. *)
+let expansion_json () =
+  let unions =
+    [ ("psi1", fst (Paper_examples.psi1 ())); ("psi2", fst (Paper_examples.psi2 ())) ]
+    @ List.concat
+        (List.mapi
+           (fun k (n, clauses) ->
+             match Pipeline.ucq_of_cnf (Cnf.make n clauses) with
+             | Pipeline.Query { psi; _ } -> [ (Printf.sprintf "lemma51_cnf%d" k, psi) ]
+             | Pipeline.Resolved _ -> [])
+           lemma51_cnfs)
+    @ List.map (fun l -> (Printf.sprintf "synthetic_l%d" l, wide_union l)) [ 8; 9; 10; 11; 12 ]
+  in
+  let cores_c = Telemetry.counter "ucq.expansion.cores" in
+  (* steps and #cores from one metered, counted run; time from untraced
+     runs *)
+  let measure (f : ?budget:Budget.t -> Ucq.t -> Ucq.expansion_term list) psi =
+    let budget = Budget.unlimited () in
+    Telemetry.reset ();
+    Telemetry.enable ~record:false ();
+    let terms = f ~budget psi in
+    let cores = Telemetry.counter_value cores_c in
+    Telemetry.disable ();
+    Telemetry.reset ();
+    let wall = wall_time ~reps:3 (fun () -> f psi) in
+    (terms, Budget.steps_done budget, cores, wall)
+  in
+  let fields (terms, steps, cores, wall) =
+    Printf.sprintf
+      "{\"steps\": %d, \"cores\": %d, \"classes\": %d, \"support\": %d, \
+       \"wall_ms\": %.3f}"
+      steps cores (List.length terms)
+      (List.length
+         (List.filter (fun (t : Ucq.expansion_term) -> t.coefficient <> 0) terms))
+      (1000. *. wall)
+  in
+  let rows =
+    List.map
+      (fun (name, psi) ->
+        let walk = measure Ucq.expansion psi in
+        let reference = measure Ucq.expansion_by_subsets psi in
+        let (tw, _, _, _) = walk and (tr, _, _, _) = reference in
+        let l = Ucq.length psi in
+        Printf.printf "E20 %-14s l=%2d subsets=%5d walk %s reference %s\n%!" name l
+          ((1 lsl l) - 1) (fields walk) (fields reference);
+        Printf.sprintf
+          "    {\"name\": %S, \"l\": %d, \"subsets\": %d, \"equal\": %b,\n     \
+           \"walk\": %s,\n     \"reference\": %s}"
+          name l ((1 lsl l) - 1) (Ucq.terms_equal tw tr) (fields walk) (fields reference))
+      unions
+  in
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf "{\n  \"kind\": \"expansion\",\n";
+  Buffer.add_string buf
+    (Printf.sprintf "  \"git_commit\": %S,\n" (Buildid.git_commit ()));
+  Buffer.add_string buf "  \"unions\": [\n";
+  Buffer.add_string buf (String.concat ",\n" rows);
+  Buffer.add_string buf "\n  ]\n}\n";
+  let oc = open_out "BENCH_expansion.json" in
+  output_string oc (Buffer.contents buf);
+  close_out oc;
+  prerr_endline "wrote BENCH_expansion.json"
+
 let () =
   if Array.exists (( = ) "--json") Sys.argv then begin
     parallel_json ();
     optimize_json ();
+    expansion_json ();
     exit 0
   end;
   Printf.printf "ucqc benchmark harness — regenerating the paper's artefacts\n";

@@ -257,9 +257,9 @@ let lint_arg =
 (** The [--lint] pre-flight: analyze the query file under the analyzer's
     own default budget (never the run's execution budget) and report on
     stderr. *)
-let lint_preflight (lint : bool) ~(pool : Pool.t) (path : string) : unit =
+let lint_preflight (lint : bool) (path : string) : unit =
   if lint then
-    let report = Runner.preflight ~pool ~path (read_file path) in
+    let report = Runner.preflight ~path (read_file path) in
     List.iter
       (fun d -> Printf.eprintf "ucqc: %s\n" (Diagnostic.to_string ~path d))
       report.Analysis.diagnostics
@@ -297,7 +297,7 @@ let count_cmd =
     guarded (fun () ->
         with_obs obs "count" @@ fun () ->
         let pool = pool_of jobs in
-        lint_preflight lint ~pool qfile;
+        lint_preflight lint qfile;
         let psi, _ = parse_ucq_file qfile in
         let db, _ = parse_db_file dbfile in
         let budget = budget_of max_steps timeout in
@@ -448,7 +448,7 @@ let check_cmd =
       timeout jobs obs =
     guarded (fun () ->
         with_obs obs "check" @@ fun () ->
-        let pool = pool_of jobs in
+        ignore (pool_of jobs : Pool.t);
         let reports =
           List.map
             (fun path ->
@@ -459,7 +459,7 @@ let check_cmd =
                 | None, None -> None
                 | _ -> Some (budget_of max_steps timeout)
               in
-              Analysis.check ?budget ~pool ~tw_threshold ~ie_threshold ~path
+              Analysis.check ?budget ~tw_threshold ~ie_threshold ~path
                 (read_file path))
             files
         in
@@ -600,11 +600,11 @@ let meta_cmd =
   let run qfile max_steps timeout jobs obs lint =
     guarded (fun () ->
         with_obs obs "meta" @@ fun () ->
-        let pool = pool_of jobs in
-        lint_preflight lint ~pool qfile;
+        ignore (pool_of jobs : Pool.t);
+        lint_preflight lint qfile;
         let psi, env = parse_ucq_file qfile in
         let budget = budget_of max_steps timeout in
-        match Runner.decide_meta ~pool ~budget psi with
+        match Runner.decide_meta ~budget psi with
         | Error e -> fail_err e
         | Ok d ->
             Printf.printf "linear-time countable: %b\n" d.Meta.linear_time;
@@ -640,7 +640,7 @@ let classify_cmd =
     guarded (fun () ->
         with_obs obs "classify" @@ fun () ->
         let pool = pool_of jobs in
-        lint_preflight lint ~pool qfile;
+        lint_preflight lint qfile;
         let psi, _ = parse_ucq_file qfile in
         let r = Classify.analyze ~with_gamma:(not no_gamma) ~pool psi in
         Printf.printf "disjuncts:               %d\n" r.Classify.num_disjuncts;
@@ -766,7 +766,7 @@ let pipeline_cmd =
   let run path t jobs obs =
     guarded (fun () ->
         with_obs obs "pipeline" @@ fun () ->
-        let pool = pool_of jobs in
+        ignore (pool_of jobs : Pool.t);
         let f = Cnf.parse_dimacs (read_file path) in
         (match Pipeline.ucq_of_cnf ~t f with
         | Pipeline.Resolved sat ->
@@ -780,7 +780,7 @@ let pipeline_cmd =
               ktk.Ktk.t_ ktk.Ktk.k;
             Printf.printf "c_Psi(K_t^k) = %d\n"
               (Ucq.coefficient psi (Ucq.combined_all psi));
-            let d = Meta.decide ~pool psi in
+            let d = Meta.decide psi in
             Printf.printf "META linear-time: %b  =>  formula %s\n"
               d.Meta.linear_time
               (if d.Meta.linear_time then "UNSATISFIABLE" else "SATISFIABLE"));

@@ -243,17 +243,17 @@ let ast_rules ~(add : Diagnostic.t -> unit) (ast : Parse.ast) : unit =
 (* ------------------------------------------------------------------ *)
 
 let semantic_rules ~(add : Diagnostic.t -> unit) ~(budget : Budget.t)
-    ?(pool : Pool.t option) ~(tw_threshold : int)
-    ~(tier : Tier.selection option ref) ~(env : Parse.query_env)
-    (ast : Parse.ast) (psi : Ucq.t) : Plan.t option =
-  let plan = ref None in
+    ~(tw_threshold : int) ~(tier : Tier.selection option ref)
+    ~(env : Parse.query_env) (ast : Parse.ast) (psi : Ucq.t) : Plan.t option =
+  (* the plan rule's outcome: its expansion also feeds UCQ204 *)
+  let plan : (Plan.t, exn) result option ref = ref None in
   let exhausted = ref false in
-  (* Every rule is fenced: budget exhaustion reports UCQ003 once and
-     skips the remaining (budgeted) rules; any other escape reports
-     UCQ004 and moves on. *)
+  (* Every rule is fenced: budget exhaustion reports UCQ003 once, naming
+     the rule as its phase, and skips the remaining (budgeted) rules;
+     any other escape reports UCQ004 and moves on. *)
   let rule (name : string) (f : unit -> unit) : unit =
     if not !exhausted then
-      try f () with
+      try Budget.with_phase budget name f with
       | Budget.Exhausted e ->
           exhausted := true;
           add
@@ -408,28 +408,38 @@ let semantic_rules ~(add : Diagnostic.t -> unit) ~(budget : Budget.t)
                     else Printf.sprintf "between %d and %d" lo hi)
                    tw_threshold))))
     disjuncts;
-  (* UCQ204: WL-dimension bounds via hereditary treewidth (Theorem 7). *)
-  rule "wl-dimension" (fun () ->
-      if Ucq.is_quantifier_free psi && Wl_dimension.check_labelled psi then
-        let lo, hi = Meta.hereditary_treewidth_bounds ~budget psi in
-        add
-          (Diagnostic.make "UCQ204"
-             "WL-dimension (Theorems 7/8): %d <= dim_WL = hdtw <= %d%s" lo hi
-             (if lo = hi then "" else " (heuristic per-term bounds)")));
   (* UCQ301: the predicted execution plan. *)
   rule "plan" (fun () ->
-      let p = Plan.predict ~budget ?pool psi in
-      plan := Some p;
-      add (Diagnostic.make "UCQ301" "%s" (Plan.describe p)));
-  !plan
+      match Plan.predict ~budget psi with
+      | p ->
+          plan := Some (Ok p);
+          add (Diagnostic.make "UCQ301" "%s" (Plan.describe p))
+      | exception e ->
+          plan := Some (Error e);
+          raise e);
+  (* UCQ204: WL-dimension bounds via hereditary treewidth (Theorem 7),
+     over the support the plan rule expanded. *)
+  rule "wl-dimension" (fun () ->
+      if Ucq.is_quantifier_free psi && Wl_dimension.check_labelled psi then
+        match !plan with
+        | Some (Error e) -> raise e
+        | None -> ()
+        | Some (Ok p) ->
+            let lo, hi = Meta.support_treewidth_bounds p.Plan.support_terms in
+            add
+              (Diagnostic.make "UCQ204"
+                 "WL-dimension (Theorems 7/8): %d <= dim_WL = hdtw <= %d%s" lo
+                 hi
+                 (if lo = hi then "" else " (heuristic per-term bounds)")));
+  match !plan with Some (Ok p) -> Some p | _ -> None
 
 (* ------------------------------------------------------------------ *)
 (* The engine                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let check ?(budget : Budget.t option) ?(pool : Pool.t option)
-    ?(tw_threshold : int = 2) ?(ie_threshold : int = 8)
-    ?(path : string option) (text : string) : report =
+let check ?(budget : Budget.t option) ?(tw_threshold : int = 2)
+    ?(ie_threshold : int = 8) ?(path : string option) (text : string) :
+    report =
   let budget =
     match budget with Some b -> b | None -> Budget.of_steps default_max_steps
   in
@@ -451,8 +461,7 @@ let check ?(budget : Budget.t option) ?(pool : Pool.t option)
          | Error e -> add (of_error e)
          | Ok (psi, env) ->
              plan :=
-               semantic_rules ~add ~budget ?pool ~tw_threshold ~tier ~env ast
-                 psi);
+               semantic_rules ~add ~budget ~tw_threshold ~tier ~env ast psi);
          (* UCQ203: union-size blowup - unbudgeted, from l alone, refined
             by the plan when one was computed. *)
          if ie_terms >= ie_threshold then

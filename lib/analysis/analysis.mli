@@ -3,8 +3,9 @@
     {!check} runs every lint rule over one query text and returns a
     {!report}.  It is total by construction — it never raises: parse and
     interning failures become [UCQ001]/[UCQ002] diagnostics, budget
-    exhaustion becomes [UCQ003] (remaining budgeted rules are skipped),
-    and any other exception escaping a rule becomes [UCQ004].
+    exhaustion becomes [UCQ003] (naming the rule that ran out as its
+    phase; remaining budgeted rules are skipped), and any other
+    exception escaping a rule becomes [UCQ004].
 
     Rules run in two stages: structural rules over the positioned
     {!Parse.ast} (spans and surface names — [UCQ002], [UCQ101]–[UCQ107]),
@@ -25,15 +26,14 @@ type report = {
     must terminate regardless). *)
 val default_max_steps : int
 
-(** [check ?budget ?pool ?tw_threshold ?ie_threshold ?path text] parses
-    and analyzes one query.  [tw_threshold] (default 2) is the contract
+(** [check ?budget ?tw_threshold ?ie_threshold ?path text] parses and
+    analyzes one query.  [tw_threshold] (default 2) is the contract
     treewidth above which [UCQ201] fires; [ie_threshold] (default 8) the
-    disjunct count at which [UCQ203] fires.  Never raises; deterministic
-    for a fixed input and budget, including under a multi-domain
-    [?pool]. *)
+    disjunct count at which [UCQ203] fires.  The Lemma 26 expansion is
+    built once, by the plan rule, and [UCQ204] reads its support.  Never
+    raises; deterministic for a fixed input and budget. *)
 val check :
   ?budget:Budget.t ->
-  ?pool:Pool.t ->
   ?tw_threshold:int ->
   ?ie_threshold:int ->
   ?path:string ->

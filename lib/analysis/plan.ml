@@ -29,6 +29,9 @@ type t = {
   expansion_steps : int;
       (** exact deterministic tick count of [Ucq.expansion] *)
   support : term_info list;  (** non-zero-coefficient classes *)
+  support_terms : Ucq.expansion_term list;
+      (** the same classes' representatives and coefficients, in the
+          same order: what a count evaluates *)
   dropped : int;  (** zero-coefficient classes (computed, then skipped) *)
   max_tw_upper : int;  (** [max] over support of [tw_upper] ([-1] if empty) *)
   all_acyclic : bool;  (** every support term acyclic *)
@@ -65,14 +68,13 @@ let term_info ?budget (t : Ucq.expansion_term) : term_info =
     tw_exact;
   }
 
-(** [predict ?budget ?pool psi] profiles the expansion.  The expansion is
+(** [predict ?budget psi] profiles the expansion.  The expansion is
     metered on a private step budget (so [expansion_steps] is exact even
     when the caller's budget is unlimited); the consumed steps are then
     charged to [?budget], whose remaining allowance also caps the run.
     @raise Budget.Exhausted when [?budget] cannot pay for the
     expansion. *)
-let predict ?(budget : Budget.t option) ?(pool : Pool.t option) (psi : Ucq.t) :
-    t =
+let predict ?(budget : Budget.t option) (psi : Ucq.t) : t =
   let allowance =
     match budget with
     | None -> max_int
@@ -83,7 +85,7 @@ let predict ?(budget : Budget.t option) ?(pool : Pool.t option) (psi : Ucq.t) :
   Budget.set_phase meter "plan.expansion";
   let terms =
     match Budget.run meter ~phase:"plan.expansion" (fun () ->
-            Ucq.expansion ~budget:meter ?pool psi)
+            Ucq.expansion ~budget:meter psi)
     with
     | Ok terms ->
         Budget.ticks_opt budget (Budget.steps_done meter);
@@ -93,16 +95,17 @@ let predict ?(budget : Budget.t option) ?(pool : Pool.t option) (psi : Ucq.t) :
         raise (Budget.Exhausted e)
   in
   let expansion_steps = Budget.steps_done meter in
-  let support, dropped =
+  let support_terms, dropped =
     List.partition (fun t -> t.Ucq.coefficient <> 0) terms
   in
-  let support = List.map (term_info ?budget) support in
+  let support = List.map (term_info ?budget) support_terms in
   let disjuncts = Ucq.length psi in
   {
     disjuncts;
     subsets = (if disjuncts < 62 then (1 lsl disjuncts) - 1 else max_int);
     expansion_steps;
     support;
+    support_terms;
     dropped = List.length dropped;
     max_tw_upper = List.fold_left (fun m t -> max m t.tw_upper) (-1) support;
     all_acyclic = List.for_all (fun t -> t.acyclic) support;
@@ -150,14 +153,14 @@ let cost ~(db_elems : int) ~(db_tuples : int) (plan : t) : float =
     (float_of_int plan.expansion_steps)
     plan.support
 
-(** [try_cost ?max_steps ?pool ~db_elems ~db_tuples psi] is {!predict}
+(** [try_cost ?max_steps ~db_elems ~db_tuples psi] is {!predict}
     followed by {!cost}, with the profiling itself capped at [max_steps]
     ticks: [None] when the query is too large to profile within the cap
     — the caller (the server's drift tracker) treats that as "no
     prediction" rather than burning evaluator time on the predictor. *)
-let try_cost ?(max_steps = 200_000) ?(pool : Pool.t option)
-    ~(db_elems : int) ~(db_tuples : int) (psi : Ucq.t) : float option =
-  match predict ~budget:(Budget.of_steps max_steps) ?pool psi with
+let try_cost ?(max_steps = 200_000) ~(db_elems : int) ~(db_tuples : int)
+    (psi : Ucq.t) : float option =
+  match predict ~budget:(Budget.of_steps max_steps) psi with
   | plan -> Some (cost ~db_elems ~db_tuples plan)
   | exception Budget.Exhausted _ -> None
 

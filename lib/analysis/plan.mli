@@ -28,18 +28,22 @@ type t = {
   expansion_steps : int;
       (** exact deterministic tick count of [Ucq.expansion] *)
   support : term_info list;  (** non-zero-coefficient classes *)
+  support_terms : Ucq.expansion_term list;
+      (** the same classes' representatives and coefficients, in the
+          same order: what a count evaluates *)
   dropped : int;  (** zero-coefficient classes (computed, then skipped) *)
   max_tw_upper : int;  (** [max] over support of [tw_upper] ([-1] if empty) *)
   all_acyclic : bool;  (** every support term acyclic *)
 }
 
-(** [predict ?budget ?pool psi] profiles the expansion, metering its
-    exact deterministic step cost on a private budget; the consumed steps
-    are charged to [?budget], whose remaining allowance also caps the
-    run.
+(** [predict ?budget psi] profiles the expansion, metering its exact
+    deterministic step cost on a private budget; the consumed steps are
+    charged to [?budget], whose remaining allowance also caps the run.
+    The plan keeps the support it profiled ([support_terms]), so a
+    count can evaluate it without expanding again.
     @raise Budget.Exhausted when [?budget] cannot pay for the
     expansion. *)
-val predict : ?budget:Budget.t -> ?pool:Pool.t -> Ucq.t -> t
+val predict : ?budget:Budget.t -> Ucq.t -> t
 
 (** [term_cost ~db_elems ~db_tuples info] estimates the budget ticks of
     counting one support term on a database with [db_elems] elements and
@@ -49,7 +53,7 @@ val term_cost : db_elems:int -> db_tuples:int -> term_info -> float
 (** [rep_cost ~db_elems ~db_tuples q] is {!term_cost} for a bare
     expansion representative (its profile is computed on the spot) — the
     scheduling hook the Runner passes to
-    [Ucq.count_via_expansion ~term_cost] so the pool bin-packs terms
+    [Ucq.count_terms ~term_cost] so the pool bin-packs terms
     largest-first by the calibrated estimate. *)
 val rep_cost : db_elems:int -> db_tuples:int -> Cq.t -> float
 
@@ -58,7 +62,7 @@ val rep_cost : db_elems:int -> db_tuples:int -> Cq.t -> float
     per-term counting cost. *)
 val cost : db_elems:int -> db_tuples:int -> t -> float
 
-(** [try_cost ?max_steps ?pool ~db_elems ~db_tuples psi] is {!predict}
+(** [try_cost ?max_steps ~db_elems ~db_tuples psi] is {!predict}
     followed by {!cost}, with the profiling capped at [max_steps]
     (default 200k) ticks on a private budget.  [None] when the cap is
     hit — the query is too large to profile cheaply, so callers on a
@@ -66,7 +70,6 @@ val cost : db_elems:int -> db_tuples:int -> t -> float
     instead of paying for it.  Never raises {!Budget.Exhausted}. *)
 val try_cost :
   ?max_steps:int ->
-  ?pool:Pool.t ->
   db_elems:int ->
   db_tuples:int ->
   Ucq.t ->

@@ -113,9 +113,20 @@ let count ?strategy ?(via = Expansion) ?(fallback = true)
       r.Optimize.optimized
     end
   in
+  (* Predictor-driven selection: only meaningful for the expansion
+     method (the predictor meters exactly that code path), only when a
+     fallback exists to select, and only advisory — prediction failures
+     of any kind fall back to the try-then-degrade order. *)
+  let plan =
+    if select && fallback && via = Expansion then
+      match Plan.predict ~budget:(Budget.of_steps plan_predict_cap) psi with
+      | plan -> Some plan
+      | exception _ -> None
+    else None
+  in
   let exact () =
     match via with
-    | Expansion ->
+    | Expansion -> (
         (* with real parallelism, rank the expansion terms by the
            calibrated database-aware estimate so the pool packs the
            most expensive term first; sequentially the ranking is dead
@@ -128,7 +139,16 @@ let count ?strategy ?(via = Expansion) ?(fallback = true)
                  ~db_tuples:(Structure.num_tuples d))
           else None
         in
-        Ucq.count_via_expansion ?strategy ~budget ?pool ?term_cost psi d
+        match plan with
+        | Some p ->
+            (* the predictor already expanded: pay its metered steps,
+               exactly what expanding again would tick, and evaluate
+               its support *)
+            Budget.ticks budget p.Plan.expansion_steps;
+            Ucq.count_terms ?strategy ~budget ?pool ?term_cost
+              p.Plan.support_terms d
+        | None ->
+            Ucq.count_via_expansion ?strategy ~budget ?pool ?term_cost psi d)
     | Inclusion_exclusion ->
         Ucq.count_inclusion_exclusion ?strategy ~budget ?pool psi d
     | Naive -> Ucq.count_naive ~budget ?pool psi d
@@ -140,21 +160,15 @@ let count ?strategy ?(via = Expansion) ?(fallback = true)
         Approximate
           { value = est.Karp_luby.value; epsilon; delta; exhausted; abandoned })
   in
-  (* Predictor-driven selection: only meaningful for the expansion
-     method (the predictor meters exactly that code path), only when a
-     fallback exists to select, and only advisory — prediction failures
-     of any kind fall back to the try-then-degrade order. *)
   let predicted_fallback =
-    select && fallback && via = Expansion
-    &&
-    match Plan.predict ~budget:(Budget.of_steps plan_predict_cap) ?pool psi with
-    | plan ->
+    match plan with
+    | None -> false
+    | Some plan ->
         Plan.predicted_outcome
           ?max_steps:(Budget.remaining_steps budget)
           ~db_elems:(Structure.universe_size d)
           ~db_tuples:(Structure.num_tuples d) plan
         = Plan.Fallback
-    | exception _ -> false
   in
   if predicted_fallback then
     estimate
@@ -264,12 +278,12 @@ let wl_dimension ?(fallback = true) ?(pool : Pool.t option)
 (** [decide_meta ~budget psi] runs the META decision procedure.  There is
     no approximate substitute for a yes/no classification, so exhaustion
     is always an error. *)
-let decide_meta ?(pool : Pool.t option) ~(budget : Budget.t) (psi : Ucq.t)
-    : (Meta.decision, Ucqc_error.t) result =
+let decide_meta ~(budget : Budget.t) (psi : Ucq.t) :
+    (Meta.decision, Ucqc_error.t) result =
   match
     guard (fun () ->
         Budget.run budget ~phase:"meta" (fun () ->
-            Meta.decide ~budget ?pool psi))
+            Meta.decide ~budget psi))
   with
   | Error e -> Error e
   | Ok (Ok d) -> Ok d
@@ -302,9 +316,9 @@ let dimension_exit_code : (dimension_outcome, Ucqc_error.t) result -> int =
 (* Static pre-flight                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let preflight ?(budget : Budget.t option) ?(pool : Pool.t option)
-    ?(path : string option) (text : string) : Analysis.report =
-  let report = Analysis.check ?budget ?pool ?path text in
+let preflight ?(budget : Budget.t option) ?(path : string option)
+    (text : string) : Analysis.report =
+  let report = Analysis.check ?budget ?path text in
   Telemetry.event
     ~attrs:(fun () ->
       [

@@ -67,7 +67,10 @@ val default_delta : float
     skip a doomed exact attempt and go straight to the estimator
     (expansion method only; advisory — a wrong [Exact] verdict still
     degrades normally).  A selection-skipped run reports exhaustion
-    phase ["count.predicted"] with zero consumed steps. *)
+    phase ["count.predicted"] with zero consumed steps.  When the
+    predictor completes, the exact attempt evaluates the support it
+    built, charging its metered expansion steps to [budget], instead of
+    expanding a second time. *)
 val count :
   ?strategy:Counting.strategy ->
   ?via:count_method ->
@@ -135,11 +138,11 @@ val wl_dimension :
 (** {2 META} *)
 
 val decide_meta :
-  ?pool:Pool.t -> budget:Budget.t -> Ucq.t -> (Meta.decision, Ucqc_error.t) result
+  budget:Budget.t -> Ucq.t -> (Meta.decision, Ucqc_error.t) result
 
 (** {2 Static pre-flight}
 
-    [preflight ?budget ?pool ?path text] runs the static analyzer
+    [preflight ?budget ?path text] runs the static analyzer
     ({!Analysis.check}) over a query text — the engine behind
     [ucqc check] and the [--lint] flag of the executing subcommands.
     Never raises; emits a [runner.preflight] telemetry event with the
@@ -149,7 +152,6 @@ val decide_meta :
 
 val preflight :
   ?budget:Budget.t ->
-  ?pool:Pool.t ->
   ?path:string ->
   string ->
   Analysis.report

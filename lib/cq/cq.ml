@@ -45,6 +45,17 @@ let isomorphic (q1 : t) (q2 : t) : bool =
   Struct_iso.isomorphic ~protected_:[ (q1.free, q2.free) ] q1.structure
     q2.structure
 
+(** [isomorphic_pointwise q1 q2] decides isomorphism fixing every free
+    variable: a structure isomorphism that is the identity on [X].  It
+    refines {!isomorphic}; on quantifier-free queries it is equality. *)
+let isomorphic_pointwise (q1 : t) (q2 : t) : bool =
+  q1.free = q2.free
+  && (Structure.equal q1.structure q2.structure
+     || (not (is_quantifier_free q1))
+        && Struct_iso.isomorphic
+             ~protected_:(List.map (fun x -> ([ x ], [ x ])) q1.free)
+             q1.structure q2.structure)
+
 (** [is_self_join_free q] checks that every relation of [A] contains at most
     one tuple (the structure-level reading of self-join-freeness used in
     Section 2.2). *)

@@ -30,6 +30,11 @@ val equal : t -> t -> bool
     [X] onto [X'] setwise). *)
 val isomorphic : t -> t -> bool
 
+(** [isomorphic_pointwise q1 q2] is isomorphism fixing every free
+    variable (the identity on [X]); on quantifier-free queries it is
+    equality. *)
+val isomorphic_pointwise : t -> t -> bool
+
 (** [is_self_join_free q]: every relation of [A] has at most one tuple. *)
 val is_self_join_free : t -> bool
 

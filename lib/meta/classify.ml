@@ -38,7 +38,7 @@ let analyze ?(with_gamma = true) ?(pool : Pool.t option) (psi : Ucq.t) :
         (fun (tw, ctw) (t : Ucq.expansion_term) ->
           ( max tw (Cq.treewidth ?pool t.representative),
             max ctw (Cq.contract_treewidth t.representative) ))
-        (-1, -1) (Ucq.support ?pool psi)
+        (-1, -1) (Ucq.support psi)
     else (-1, -1)
   in
   {

@@ -27,8 +27,7 @@ type decision = {
     @raise Invalid_argument if [psi] has quantified variables (META is
     defined for quantifier-free inputs; with quantifiers the meta problem
     is NP-hard even for single CQs, see Section 1.1). *)
-let decide ?(budget : Budget.t option) ?(pool : Pool.t option) (psi : Ucq.t)
-    : decision =
+let decide ?(budget : Budget.t option) (psi : Ucq.t) : decision =
   if not (Ucq.is_quantifier_free psi) then
     invalid_arg "Meta.decide: input must be quantifier-free";
   Telemetry.with_span ?budget
@@ -38,7 +37,7 @@ let decide ?(budget : Budget.t option) ?(pool : Pool.t option) (psi : Ucq.t)
   let support =
     List.map
       (fun (t : Ucq.expansion_term) -> (t.representative, t.coefficient))
-      (Ucq.support ?budget ?pool psi)
+      (Ucq.support ?budget psi)
   in
   let offending =
     List.filter_map
@@ -60,17 +59,18 @@ let hereditary_treewidth ?(budget : Budget.t option) ?(pool : Pool.t option)
       if t.coefficient = 0 then acc
       else max acc (Cq.treewidth ?budget ?pool t.representative))
     (-1)
-    (Ucq.expansion ?budget ?pool psi)
+    (Ucq.expansion ?budget psi)
 
-(** [hereditary_treewidth_bounds psi] is the polynomial-per-term variant
-    used by the approximation algorithm of Theorem 7: instead of exact
-    treewidth it computes, for each support term, the minor-min-width lower
-    bound and the min-fill/min-degree heuristic upper bound, returning the
-    maxima [(lo, hi)] with [lo ≤ hdtw(Ψ) ≤ hi].  (The paper invokes the
-    Feige–Hajiaghayi–Lee [O(sqrt(log k))]-approximation here; our heuristic
-    pair plays that role and its gap is reported by the benchmarks.) *)
-let hereditary_treewidth_bounds ?(budget : Budget.t option) (psi : Ucq.t) :
-    int * int =
+(** [support_treewidth_bounds terms] is the polynomial-per-term variant
+    of {!hereditary_treewidth} used by the approximation algorithm of
+    Theorem 7, over an already computed expansion: instead of exact
+    treewidth it computes, for each term with non-zero coefficient, the
+    minor-min-width lower bound and the min-fill/min-degree heuristic
+    upper bound, returning the maxima [(lo, hi)] with
+    [lo ≤ hdtw(Ψ) ≤ hi].  (The paper invokes the Feige–Hajiaghayi–Lee
+    [O(sqrt(log k))]-approximation here; our heuristic pair plays that
+    role and its gap is reported by the benchmarks.) *)
+let support_treewidth_bounds (terms : Ucq.expansion_term list) : int * int =
   List.fold_left
     (fun (lo, hi) (t : Ucq.expansion_term) ->
       if t.coefficient = 0 then (lo, hi)
@@ -80,8 +80,13 @@ let hereditary_treewidth_bounds ?(budget : Budget.t option) (psi : Ucq.t) :
         let ub, _ = Treewidth.heuristic g in
         (max lo lb, max hi ub)
       end)
-    (-1, -1)
-    (Ucq.expansion ?budget psi)
+    (-1, -1) terms
+
+(** [hereditary_treewidth_bounds ?budget psi] is
+    {!support_treewidth_bounds} over the expansion of [psi]. *)
+let hereditary_treewidth_bounds ?(budget : Budget.t option) (psi : Ucq.t) :
+    int * int =
+  support_treewidth_bounds (Ucq.expansion ?budget psi)
 
 (** Outcome of the gap problem META[c, d] (Definition 54), decided through
     hereditary treewidth: support terms of treewidth ≤ c are countable in
@@ -98,7 +103,7 @@ let gap ?(budget : Budget.t option) ?(pool : Pool.t option) ~(c : int)
   if not (Ucq.is_quantifier_free psi) then
     invalid_arg "Meta.gap: input must be quantifier-free";
   if c = 1 then begin
-    if (decide ?budget ?pool psi).linear_time then Within_c
+    if (decide ?budget psi).linear_time then Within_c
     else begin
       let h = hereditary_treewidth ?budget ?pool psi in
       if h > d then Beyond_d else Between

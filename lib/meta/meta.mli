@@ -17,12 +17,17 @@ type decision = {
     defined for quantifier-free unions; with quantifiers the meta problem
     is NP-hard already for single CQs).
     @raise Budget.Exhausted when the resource budget runs out. *)
-val decide : ?budget:Budget.t -> ?pool:Pool.t -> Ucq.t -> decision
+val decide : ?budget:Budget.t -> Ucq.t -> decision
 
 (** [hereditary_treewidth ?budget psi] is [hdtw(Ψ)] (Definition 57): the
     maximum treewidth over the support of [c_Ψ].
     @raise Budget.Exhausted when the resource budget runs out. *)
 val hereditary_treewidth : ?budget:Budget.t -> ?pool:Pool.t -> Ucq.t -> int
+
+(** [support_treewidth_bounds terms] is the Theorem 7 bound pair
+    [(lo, hi)] over the non-zero terms of an already computed expansion
+    (the polynomial per-term heuristics only; nothing is budgeted). *)
+val support_treewidth_bounds : Ucq.expansion_term list -> int * int
 
 (** [hereditary_treewidth_bounds ?budget psi] is the polynomial-per-term
     approximation pair [(lo, hi)] with [lo ≤ hdtw(Ψ) ≤ hi] (the Theorem 7

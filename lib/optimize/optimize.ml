@@ -195,24 +195,6 @@ let subsets (l : int) : int = if l < 62 then (1 lsl l) - 1 else max_int
 let expansion_subsets (r : report) : int * int =
   (subsets (Ucq.length r.original), subsets (Ucq.length r.optimized))
 
-let support_shrink ?(budget : Budget.t option) ?(pool : Pool.t option)
-    (r : report) : (int * int) option =
-  let budget =
-    match budget with
-    | Some b -> b
-    | None -> Budget.of_steps default_max_steps
-  in
-  match
-    let before = List.length (Ucq.support ~budget ?pool r.original) in
-    let after =
-      if r.changed then List.length (Ucq.support ~budget ?pool r.optimized)
-      else before
-    in
-    (before, after)
-  with
-  | v -> Some v
-  | exception Budget.Exhausted _ -> None
-
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                          *)
 (* ------------------------------------------------------------------ *)

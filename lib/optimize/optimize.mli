@@ -87,13 +87,6 @@ val atoms_removed : report -> int
     count before and after (clamped to [max_int] for ℓ ≥ 62). *)
 val expansion_subsets : report -> int * int
 
-(** [support_shrink ?budget ?pool r] counts the non-zero-coefficient
-    expansion classes (Lemma 26 support) of the original and optimized
-    queries — the measured ℓ-shrink effect on the expansion engine.
-    [None] when the [2^ℓ] profiling exhausts the budget. *)
-val support_shrink :
-  ?budget:Budget.t -> ?pool:Pool.t -> report -> (int * int) option
-
 val describe_rewrite : rewrite -> string
 
 (** [describe r] is the multi-line human rewrite report of

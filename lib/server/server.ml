@@ -452,7 +452,7 @@ let entry_optimized (t : t) (entry : Cache.entry) : Optimize.report =
         Telemetry.add c_opt_atoms (Optimize.atoms_removed r);
         let cost q =
           Telemetry.with_span "serve.plan" (fun () ->
-              Plan.try_cost ~max_steps:plan_predict_cap ~pool:t.pool
+              Plan.try_cost ~max_steps:plan_predict_cap
                 ~db_elems:t.db_elems ~db_tuples:t.db_tuples q)
         in
         let after = cost r.Optimize.optimized in
@@ -516,7 +516,7 @@ let predicted_cost (t : t) (entry : Cache.entry) : float option =
       let ucq = (entry_optimized t entry).Optimize.optimized in
       let memo =
         Telemetry.with_span "serve.plan" (fun () ->
-            Plan.try_cost ~max_steps:plan_predict_cap ~pool:t.pool
+            Plan.try_cost ~max_steps:plan_predict_cap
               ~db_elems:t.db_elems ~db_tuples:t.db_tuples ucq)
       in
       entry.Cache.plan_cost <- Some memo;
@@ -524,14 +524,14 @@ let predicted_cost (t : t) (entry : Cache.entry) : float option =
 
 (* Lint codes for a slow-log entry, via the same memoized analysis the
    [check] op uses (primary spelling only — good enough for a log). *)
-let entry_lint_codes (t : t) (entry : Cache.entry) : string list =
+let entry_lint_codes (entry : Cache.entry) : string list =
   let report =
     match entry.Cache.analysis with
     | Some r -> r
     | None ->
         let r =
           Telemetry.with_span "serve.analysis" (fun () ->
-              Analysis.check ~pool:t.pool entry.Cache.primary_text)
+              Analysis.check entry.Cache.primary_text)
         in
         entry.Cache.analysis <- Some r;
         r
@@ -569,7 +569,7 @@ let note_drift (t : t) ~(rid : string) ~(query : string)
                   factor = ratio;
                   threshold = t.cfg.slow_factor;
                   degradation;
-                  lint_codes = entry_lint_codes t entry;
+                  lint_codes = entry_lint_codes entry;
                   elapsed_ms;
                 }
             in
@@ -823,7 +823,7 @@ let answer_check (t : t) (cache : Cache.t) ?id ~query () : Protocol.response =
           entry.Cache.analysis <-
             Some
               (Telemetry.with_span "serve.analysis" (fun () ->
-                   Analysis.check ~pool:t.pool query)));
+                   Analysis.check query)));
       entry.Cache.analysis
     end
     else None
@@ -835,10 +835,10 @@ let answer_check (t : t) (cache : Cache.t) ?id ~query () : Protocol.response =
         | Some r -> r
         | None ->
             Telemetry.with_span "serve.analysis" (fun () ->
-                Analysis.check ~pool:t.pool query))
+                Analysis.check query))
     | Cache.Invalid _ ->
         Telemetry.with_span "serve.analysis" (fun () ->
-            Analysis.check ~pool:t.pool query)
+            Analysis.check query)
   in
   let max_sev =
     match Analysis.max_severity report with

@@ -149,10 +149,10 @@ let expansion_classes_c = Telemetry.counter "ucq.expansion.classes"
 let subset_mask (j : int list) : int =
   List.fold_left (fun m i -> m lor (1 lsl i)) 0 j
 
-(* Structural cost proxy for scheduling the per-subset work (combined
-   query construction, homomorphism counting, #core computation): the
-   combined query of [J] has [Σ atoms] atoms over [≈ Σ vars] variables,
-   and both the counters and the core search grow with that product.
+(* Structural cost proxy for scheduling the per-subset work of
+   inclusion–exclusion (combined query construction, homomorphism
+   counting): the combined query of [J] has [Σ atoms] atoms over
+   [≈ Σ vars] variables, and the counters grow with that product.
    Only relative order matters — the pool bin-packs largest-first — so
    a cheap syntactic proxy is enough and never touches the database. *)
 let subset_cost_proxy (psi : t) : int list -> float =
@@ -212,7 +212,7 @@ let count_naive ?(budget : Budget.t option) ?(pool : Pool.t option) (psi : t)
       (fun idx -> is_answer (Combinat.tuple_of_index k dom idx))
 
 (** The nonempty index sets [J ⊆ [ℓ]] in bitmask order — the iteration
-    space shared by the inclusion–exclusion counter and the expansion. *)
+    space of the inclusion–exclusion counter. *)
 let nonempty_index_sets (psi : t) : int list array =
   Array.of_list (Combinat.nonempty_subsets (length psi))
 
@@ -254,60 +254,265 @@ let count_inclusion_exclusion ?(strategy = Counting.Auto)
     [c_Ψ]. *)
 type expansion_term = { representative : Cq.t; coefficient : int }
 
-(** [expansion ?budget ?pool psi] computes the CQ expansion of [Ψ]: group
-    the combined queries [∧(Ψ|_J)] over all nonempty [J] by #equivalence
-    and sum the signs [(-1)^(|J|+1)].  Representatives are #minimal (they
-    are #cores), so by Lemma 18 grouping by isomorphism of #cores is
-    exactly grouping by #equivalence.  Terms with coefficient [0] are
-    retained; use {!support} for the non-vanishing part.  Runs in time
-    [2^ℓ · poly(|Ψ|)]; the budget is ticked once per index set.  The
-    per-subset #core computations are independent and run on the pool;
-    the isomorphism grouping is a sequential pass in bitmask order, so
-    the class list is identical for every job count. *)
-let expansion ?(budget : Budget.t option) ?(pool : Pool.t option) (psi : t) :
-    expansion_term list =
+let expansion_cores_c = Telemetry.counter "ucq.expansion.cores"
+
+(* Index masks are native ints, and [1 lsl 62] is already negative: a
+   mask loop over 62 or more disjuncts would wrap and run zero times,
+   returning an empty support.  Such unions are refused with the error
+   the subset-list iterators raise for them. *)
+let check_width (psi : t) : unit =
+  if length psi >= 62 then invalid_arg "Combinat.subsets_fold"
+
+(* the members of an index mask, ascending *)
+let indices_of_mask (mask : int) : int list =
+  let rec go i m acc =
+    if m = 0 then List.rev acc
+    else go (i + 1) (m lsr 1) (if m land 1 = 1 then i :: acc else acc)
+  in
+  go 0 mask []
+
+let sign_of_size (n : int) : int = if n mod 2 = 1 then 1 else -1
+
+(* One #core computation of the expansion, counted and traced under the
+   index mask it was computed for. *)
+let core_at (mask : int) (q : Cq.t) : Cq.t =
+  Telemetry.incr expansion_cores_c;
+  Telemetry.with_span
+    ~attrs:(fun () -> [ ("subset", Telemetry.I mask) ])
+    "ucq.expansion.core"
+  @@ fun () -> Cq.sharp_core q
+
+(* An isomorphism invariant of a query: relation sizes, and the
+   occurrence profiles (relation, position) of its free and of its
+   quantified elements.  With [~pointwise:true] the free profiles stay
+   in the order of X, which only an isomorphism fixing X pointwise
+   preserves; otherwise they are sorted, as under any isomorphism
+   mapping X onto X. *)
+type class_key = int list * int list list * int list list
+
+let class_key ~(pointwise : bool) (q : Cq.t) : class_key =
+  let a = Cq.structure q in
+  let occ = Hashtbl.create 16 in
+  List.iteri
+    (fun r (_, ts) ->
+      List.iter
+        (List.iteri (fun pos v ->
+             let code = (r lsl 8) lor pos in
+             Hashtbl.replace occ v
+               (code :: Option.value ~default:[] (Hashtbl.find_opt occ v))))
+        ts)
+    (Structure.relations a);
+  let profile v =
+    List.sort compare (Option.value ~default:[] (Hashtbl.find_opt occ v))
+  in
+  let free = List.map profile (Cq.free q) in
+  ( List.map (fun (_, ts) -> List.length ts) (Structure.relations a),
+    (if pointwise then free else List.sort compare free),
+    List.sort compare (List.map profile (Cq.quantified q)) )
+
+(* Growable arrays for the class tables. *)
+type 'a vec = { mutable data : 'a array; mutable len : int }
+
+let vec () : 'a vec = { data = [||]; len = 0 }
+
+let push (v : 'a vec) (x : 'a) : unit =
+  if v.len = Array.length v.data then
+    v.data <- Array.append v.data (Array.make (max 8 v.len) x);
+  v.data.(v.len) <- x;
+  v.len <- v.len + 1
+
+(* Isomorphism classes of #cores, numbered in order of creation, each
+   with its representative and signed count.  A core is compared only
+   with the classes in its bucket: the bucket key is an isomorphism
+   invariant, so classes in other buckets cannot match. *)
+type classes = {
+  key : Cq.t -> class_key;
+  same : Cq.t -> Cq.t -> bool;
+  buckets : (class_key, int list) Hashtbl.t;
+  reps : Cq.t vec;
+  coeffs : int vec;
+}
+
+let classes ~(pointwise : bool) : classes =
+  {
+    key = class_key ~pointwise;
+    same =
+      (if pointwise then Cq.isomorphic_pointwise
+       else fun a b -> Cq.equal a b || Cq.isomorphic a b);
+    buckets = Hashtbl.create 64;
+    reps = vec ();
+    coeffs = vec ();
+  }
+
+(* [find_class cls q] is the class of [q], [None] when it is new. *)
+let find_class (cls : classes) (q : Cq.t) : int option * class_key =
+  let key = cls.key q in
+  let bucket = Option.value ~default:[] (Hashtbl.find_opt cls.buckets key) in
+  (List.find_opt (fun c -> cls.same cls.reps.data.(c) q) bucket, key)
+
+(* [new_class cls key rep] opens the next class with coefficient 0. *)
+let new_class (cls : classes) (key : class_key) (rep : Cq.t) : int =
+  let c = cls.reps.len in
+  push cls.reps rep;
+  push cls.coeffs 0;
+  Hashtbl.replace cls.buckets key
+    (c :: Option.value ~default:[] (Hashtbl.find_opt cls.buckets key));
+  c
+
+let terms_of (cls : classes) : expansion_term list =
+  Telemetry.add expansion_classes_c cls.reps.len;
+  List.init cls.reps.len (fun c ->
+      { representative = cls.reps.data.(c); coefficient = cls.coeffs.data.(c) })
+
+(** [expansion ?budget psi] computes the CQ expansion of [Ψ]: the
+    combined queries [∧(Ψ|_J)] over all nonempty [J], grouped by
+    #equivalence, each class with the signed count
+    [Σ (-1)^(|J|+1)] of its index sets.  Representatives are #cores, so
+    by Lemma 18 grouping by isomorphism of #cores is exactly grouping by
+    #equivalence.  Terms with coefficient [0] are retained; use
+    {!support} for the non-vanishing part.
+
+    The masks are walked in increasing order, one budget tick each.
+    Since [∧] glues renamed-apart disjuncts on [X], hom-equivalence
+    fixing [X] pointwise is a congruence for it: the class of
+    [∧(Ψ|_J)] is a function of its highest index [i] and the class of
+    [∧(Ψ|_(J∖{i}))].  A #core is therefore computed once per new
+    (class, [i]) transition — of the representative, which was found at
+    a smaller mask and so shares no quantified element with [A_i],
+    glued to [A_i] — and every other mask is a table lookup.  A last
+    pass coarsens these pointwise classes to the isomorphism classes of
+    {!Cq.isomorphic}, which may map [X] onto itself non-trivially, and
+    recomputes each class's representative as the #core of its first
+    index set: the result equals {!expansion_by_subsets} element for
+    element.  Memory grows with the masks walked, never ahead of the
+    budget.
+    @raise Invalid_argument for 62 or more disjuncts. *)
+let expansion ?(budget : Budget.t option) (psi : t) : expansion_term list =
+  check_width psi;
   Telemetry.with_span ?budget
     ~attrs:(fun () -> [ ("l", Telemetry.I (length psi)) ])
     "ucq.expansion"
   @@ fun () ->
-  let core_of j =
-    Budget.tick_opt budget;
-    Telemetry.with_span
-      ~attrs:(fun () -> [ ("subset", Telemetry.I (subset_mask j)) ])
-      "ucq.expansion.core"
-    @@ fun () ->
-    let core = Cq.sharp_core (combined psi j) in
-    let sign = if List.length j mod 2 = 1 then 1 else -1 in
-    (core, sign)
-  in
-  let costs = if Pool.is_parallel pool then Some (subset_cost_proxy psi) else None in
-  let cores =
-    Pool.map_opt pool ?budget ?costs core_of (nonempty_index_sets psi)
-  in
-  let classes : (Cq.t * int ref) list ref = ref [] in
-  Array.iter
-    (fun (core, sign) ->
-      let rec insert = function
-        | [] -> classes := !classes @ [ (core, ref sign) ]
-        | (rep, coeff) :: rest ->
-            (* syntactic equality is a cheap certificate of isomorphism
-               and the common case in quantifier-free expansions *)
-            if Cq.equal rep core || Cq.isomorphic rep core then
-              coeff := !coeff + sign
-            else insert rest
+  let l = length psi in
+  let pointwise = classes ~pointwise:true in
+  (* per pointwise class: the mask it was found at, the query whose
+     #core became its representative, and its successor class under
+     each disjunct ([-1]: not computed yet) *)
+  let first = vec () and input = vec () and succ = vec () in
+  let from_empty = Array.make l (-1) in
+  let transition c i mask =
+    let row = if c < 0 then from_empty else succ.data.(c) in
+    if row.(i) < 0 then begin
+      let q =
+        if c < 0 then Cq.make psi.cqs.(i) psi.free
+        else
+          Cq.make
+            (Structure.union (Cq.structure pointwise.reps.data.(c)) psi.cqs.(i))
+            psi.free
       in
-      insert !classes)
-    cores;
+      let core = core_at mask q in
+      row.(i) <-
+        (match find_class pointwise core with
+        | Some c', _ -> c'
+        | None, key ->
+            push first mask;
+            push input q;
+            push succ (Array.make l (-1));
+            new_class pointwise key core)
+    end;
+    row.(i)
+  in
+  (* class lsl 1 lor (|J| mod 2), per mask below 2^(l-1): the masks
+     whose class a later mask reads *)
+  let table = ref [||] in
+  for i = 0 to l - 1 do
+    let bit = 1 lsl i in
+    let keep = i < l - 1 in
+    if keep then table := Array.append !table (Array.make (2 * bit - Array.length !table) 0);
+    for rest = 0 to bit - 1 do
+      Budget.tick_opt budget;
+      let c_rest, odd_rest =
+        if rest = 0 then (-1, 0)
+        else
+          let e = !table.(rest) in
+          (e lsr 1, e land 1)
+      in
+      let c = transition c_rest i (bit lor rest) in
+      let odd = 1 - odd_rest in
+      if keep then !table.(bit lor rest) <- (c lsl 1) lor odd;
+      pointwise.coeffs.data.(c) <-
+        pointwise.coeffs.data.(c) + sign_of_size odd
+    done
+  done;
+  (* Coarsen in first-mask order, so classes come out in order of first
+     appearance and each representative is the #core of its class's
+     first index set.  That #core was computed already when the
+     transition glued exactly the first index set's combined query —
+     always for singletons, and in quantifier-free unions, whose
+     classes hold identical combined queries. *)
+  let setwise = classes ~pointwise:false in
+  for c = 0 to pointwise.reps.len - 1 do
+    let s =
+      match find_class setwise pointwise.reps.data.(c) with
+      | Some s, _ -> s
+      | None, key ->
+          let mask = first.data.(c) in
+          let q = combined psi (indices_of_mask mask) in
+          new_class setwise key
+            (if Cq.equal q input.data.(c) then pointwise.reps.data.(c)
+             else core_at mask q)
+    in
+    setwise.coeffs.data.(s) <-
+      setwise.coeffs.data.(s) + pointwise.coeffs.data.(c)
+  done;
+  terms_of setwise
+
+(** [expansion_by_subsets ?budget psi] is the reference for {!expansion}:
+    one #core per nonempty index set, grouped by a linear scan of the
+    classes found so far.  It computes [2^ℓ − 1] #cores, so it serves as
+    the test oracle only.  One budget tick per index set, as in
+    {!expansion}.
+    @raise Invalid_argument for 62 or more disjuncts. *)
+let expansion_by_subsets ?(budget : Budget.t option) (psi : t) :
+    expansion_term list =
+  check_width psi;
+  let classes : (Cq.t * int ref) list ref = ref [] in
+  for mask = 1 to (1 lsl length psi) - 1 do
+    Budget.tick_opt budget;
+    let j = indices_of_mask mask in
+    let core = core_at mask (combined psi j) in
+    let sign = sign_of_size (List.length j) in
+    let rec insert = function
+      | [] -> classes := !classes @ [ (core, ref sign) ]
+      | (rep, coeff) :: rest ->
+          (* syntactic equality is a cheap certificate of isomorphism
+             and the common case in quantifier-free expansions *)
+          if Cq.equal rep core || Cq.isomorphic rep core then
+            coeff := !coeff + sign
+          else insert rest
+    in
+    insert !classes
+  done;
   Telemetry.add expansion_classes_c (List.length !classes);
   List.map
     (fun (rep, coeff) -> { representative = rep; coefficient = !coeff })
     !classes
 
-(** [support ?budget ?pool psi] is the expansion restricted to non-zero
+(** [terms_equal a b]: the same terms in the same order, with
+    syntactically equal representatives — how {!expansion} is held to
+    {!expansion_by_subsets}. *)
+let terms_equal (a : expansion_term list) (b : expansion_term list) : bool =
+  List.length a = List.length b
+  && List.for_all2
+       (fun x y ->
+         x.coefficient = y.coefficient
+         && Cq.equal x.representative y.representative)
+       a b
+
+(** [support ?budget psi] is the expansion restricted to non-zero
     coefficients: the #minimal queries [(A, X)] with [c_Ψ(A, X) ≠ 0]. *)
-let support ?(budget : Budget.t option) ?(pool : Pool.t option) (psi : t) :
-    expansion_term list =
-  List.filter (fun t -> t.coefficient <> 0) (expansion ?budget ?pool psi)
+let support ?(budget : Budget.t option) (psi : t) : expansion_term list =
+  List.filter (fun t -> t.coefficient <> 0) (expansion ?budget psi)
 
 (** [coefficient psi q] is [c_Ψ(A, X)] for a conjunctive query [q]
     (Definition 25): the signed number of index sets whose combined query is
@@ -320,25 +525,23 @@ let coefficient (psi : t) (q : Cq.t) : int =
       else acc)
     0 (expansion psi)
 
-(** [count_via_expansion ?strategy ?budget ?pool ?term_cost psi d]
-    evaluates the linear combination of Lemma 26 term by term:
-    [Σ c_Ψ(A,X) · ans((A,X) → D)].  Each surviving term is an independent
-    {!Counting.count} call fanned out on the pool; [term_cost] ranks the
-    terms for largest-first placement (the Runner passes the calibrated
-    database-aware estimate from the analysis layer). *)
-let count_via_expansion ?(strategy = Counting.Auto) ?(budget : Budget.t option)
-    ?(pool : Pool.t option) ?(term_cost : (Cq.t -> float) option) (psi : t)
-    (d : Structure.t) : int =
-  Telemetry.with_span ?budget
-    ~attrs:(fun () -> [ ("l", Telemetry.I (length psi)) ])
-    "ucq.count_via_expansion"
-  @@ fun () ->
+(** [count_terms ?strategy ?budget ?pool ?term_cost terms d] evaluates a
+    Lemma 26 linear combination term by term:
+    [Σ c · ans((A,X) → D)] over the terms with non-zero coefficient.
+    Each term is an independent {!Counting.count} call fanned out on the
+    pool; [term_cost] ranks the terms for largest-first placement (the
+    Runner passes the calibrated database-aware estimate from the
+    analysis layer).  The sum is reduced in list order. *)
+let count_terms ?(strategy = Counting.Auto) ?(budget : Budget.t option)
+    ?(pool : Pool.t option) ?(term_cost : (Cq.t -> float) option)
+    (terms : expansion_term list) (d : Structure.t) : int =
   let terms =
-    Array.of_list
-      (List.filter
-         (fun (t : expansion_term) -> t.coefficient <> 0)
-         (expansion ?budget ?pool psi))
+    Array.of_list (List.filter (fun t -> t.coefficient <> 0) terms)
   in
+  Telemetry.with_span ?budget
+    ~attrs:(fun () -> [ ("terms", Telemetry.I (Array.length terms)) ])
+    "ucq.count_terms"
+  @@ fun () ->
   let costs =
     if Pool.is_parallel pool then
       let cost = Option.value term_cost ~default:default_term_cost in
@@ -349,6 +552,17 @@ let count_via_expansion ?(strategy = Counting.Auto) ?(budget : Budget.t option)
     ~f:(fun (term : expansion_term) ->
       term.coefficient * Counting.count ~strategy ?budget term.representative d)
     ~combine:( + ) ~init:0 terms
+
+(** [count_via_expansion ?strategy ?budget ?pool ?term_cost psi d] is
+    {!count_terms} over the expansion of [psi]. *)
+let count_via_expansion ?(strategy = Counting.Auto) ?(budget : Budget.t option)
+    ?(pool : Pool.t option) ?(term_cost : (Cq.t -> float) option) (psi : t)
+    (d : Structure.t) : int =
+  Telemetry.with_span ?budget
+    ~attrs:(fun () -> [ ("l", Telemetry.I (length psi)) ])
+    "ucq.count_via_expansion"
+  @@ fun () ->
+  count_terms ~strategy ?budget ?pool ?term_cost (expansion ?budget psi) d
 
 (** [is_exhaustively_q_hierarchical psi] checks the Berkholz–Keppeler–
     Schweikardt criterion for constant-delay dynamic counting of UCQs
@@ -391,51 +605,3 @@ let count_inclusion_exclusion_big (psi : t) (d : Structure.t) : Bigint.t =
           if List.length j mod 2 = 1 then Bigint.add acc term
           else Bigint.sub acc term)
     Bigint.zero (length psi)
-
-(* ------------------------------------------------------------------ *)
-(* Compiled expansions                                                *)
-(* ------------------------------------------------------------------ *)
-
-(** A UCQ compiled for repeated counting: the [2^ℓ] expansion work (cores,
-    isomorphism grouping) is paid once, as are the per-term scheduling
-    cost estimates; each database is then counted by evaluating the
-    stored support terms. *)
-type compiled = {
-  query : t;
-  terms : expansion_term list;
-  costs : float array;  (** one scheduling estimate per stored term *)
-}
-
-(** [compile ?pool ?term_cost psi] precomputes the expansion support and
-    the per-term scheduling estimates. *)
-let compile ?(pool : Pool.t option) ?(term_cost = default_term_cost) (psi : t)
-    : compiled =
-  let terms = support ?pool psi in
-  {
-    query = psi;
-    terms;
-    costs =
-      Array.of_list
-        (List.map (fun (t : expansion_term) -> term_cost t.representative) terms);
-  }
-
-(** [compiled_support c] exposes the precomputed support. *)
-let compiled_support (c : compiled) : expansion_term list = c.terms
-
-(** [count_compiled ?strategy ?pool c d] evaluates the stored linear
-    combination on [d], one pool task per surviving term, packed
-    largest-first by the precomputed estimates. *)
-let count_compiled ?(strategy = Counting.Auto) ?(pool : Pool.t option)
-    (c : compiled) (d : Structure.t) : int =
-  let terms = Array.of_list c.terms in
-  let eval i =
-    let t = terms.(i) in
-    t.coefficient * Counting.count ~strategy t.representative d
-  in
-  let per =
-    Pool.run
-      (Option.value pool ~default:Pool.sequential)
-      ~costs:(fun i -> c.costs.(i))
-      ~f:eval (Array.length terms)
-  in
-  Array.fold_left ( + ) 0 per

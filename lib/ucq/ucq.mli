@@ -82,26 +82,51 @@ val count_inclusion_exclusion :
     with its coefficient [c_Ψ]. *)
 type expansion_term = { representative : Cq.t; coefficient : int }
 
-(** [expansion ?budget ?pool psi] groups the combined queries of all
-    nonempty [J] by #equivalence and sums the signs; zero-coefficient
-    classes are retained.  Runs in [2^ℓ · poly(|Ψ|)] time; the per-subset
-    #core computations fan out on the pool, the grouping pass is
-    sequential in bitmask order (identical classes for every job
-    count). *)
-val expansion : ?budget:Budget.t -> ?pool:Pool.t -> t -> expansion_term list
+(** [expansion ?budget psi] groups the combined queries of all nonempty
+    [J] by #equivalence and sums the signs; zero-coefficient classes are
+    retained, in order of first appearance in bitmask order.  The walk
+    ticks the budget once per index set but computes a #core only per
+    new (class, disjunct) transition: hom-equivalence fixing [X]
+    pointwise is a congruence for [∧], so the class of [∧(Ψ|J)] follows
+    from the class of [J] without its highest index.  The result equals
+    {!expansion_by_subsets} element for element.
+    @raise Invalid_argument for 62 or more disjuncts. *)
+val expansion : ?budget:Budget.t -> t -> expansion_term list
 
-(** [support ?budget ?pool psi] is the expansion restricted to non-zero
+(** [expansion_by_subsets ?budget psi] is the reference for
+    {!expansion}: one #core per nonempty index set ([2^ℓ − 1] of them),
+    grouped by a linear scan.  The test oracle only.
+    @raise Invalid_argument for 62 or more disjuncts. *)
+val expansion_by_subsets : ?budget:Budget.t -> t -> expansion_term list
+
+(** [terms_equal a b]: the same terms in the same order, with
+    syntactically equal ({!Cq.equal}) representatives. *)
+val terms_equal : expansion_term list -> expansion_term list -> bool
+
+(** [support ?budget psi] is the expansion restricted to non-zero
     coefficients. *)
-val support : ?budget:Budget.t -> ?pool:Pool.t -> t -> expansion_term list
+val support : ?budget:Budget.t -> t -> expansion_term list
 
 (** [coefficient psi q] is [c_Ψ(A, X)] for the class of [q]. *)
 val coefficient : t -> Cq.t -> int
 
-(** [count_via_expansion ?strategy ?budget ?pool ?term_cost psi d]
-    evaluates the Lemma 26 linear combination term by term, one pool task
-    per surviving term.  [term_cost] ranks terms for the pool's
-    largest-first placement (default: a syntactic size proxy); it never
-    affects the result, only the schedule. *)
+(** [count_terms ?strategy ?budget ?pool ?term_cost terms d] evaluates
+    the Lemma 26 linear combination [Σ c · ans(A → D)] over [terms] (a
+    support, as returned by {!support} or held by a plan), one pool task
+    per term with non-zero coefficient.  [term_cost] ranks terms for the
+    pool's largest-first placement (default: a syntactic size proxy); it
+    never affects the result, only the schedule. *)
+val count_terms :
+  ?strategy:Counting.strategy ->
+  ?budget:Budget.t ->
+  ?pool:Pool.t ->
+  ?term_cost:(Cq.t -> float) ->
+  expansion_term list ->
+  Structure.t ->
+  int
+
+(** [count_via_expansion ?strategy ?budget ?pool ?term_cost psi d] is
+    {!count_terms} over the expansion of [psi]. *)
 val count_via_expansion :
   ?strategy:Counting.strategy ->
   ?budget:Budget.t ->
@@ -122,19 +147,3 @@ val count_inclusion_exclusion_big : t -> Structure.t -> Bigint.t
 val is_exhaustively_q_hierarchical : t -> bool
 
 val pp : Format.formatter -> t -> unit
-
-(** {2 Compiled expansions} *)
-
-(** A UCQ compiled for repeated counting: the [2^ℓ] expansion work is paid
-    once at {!compile}; each database is then counted by evaluating the
-    stored support terms. *)
-type compiled
-
-(** [compile ?pool ?term_cost psi] precomputes the expansion support and
-    a per-term scheduling estimate ([term_cost], default: a syntactic
-    size proxy), so repeated {!count_compiled} calls pay neither. *)
-val compile : ?pool:Pool.t -> ?term_cost:(Cq.t -> float) -> t -> compiled
-val compiled_support : compiled -> expansion_term list
-
-val count_compiled :
-  ?strategy:Counting.strategy -> ?pool:Pool.t -> compiled -> Structure.t -> int

@@ -180,6 +180,84 @@ let test_budget_exhaustion () =
     (let ds = r.Analysis.diagnostics in
      List.sort_uniq Diagnostic.compare ds = ds)
 
+(* A budget that pays for the rules before the plan but runs out inside
+   its expansion: the finding names the rule that ran out. *)
+let test_budget_exhaustion_in_plan () =
+  let text =
+    "(x) :- " ^ String.concat " ; " (List.init 8 (Printf.sprintf "R%d(x)"))
+  in
+  let full = Budget.unlimited () in
+  let p =
+    match (check ~budget:full text).Analysis.plan with
+    | Some p -> p
+    | None -> Alcotest.fail "plan missing under an unlimited budget"
+  in
+  Alcotest.(check int) "one tick per index set" 255 p.Plan.expansion_steps;
+  (* the quantifier-free support is acyclic: the plan's own profiling
+     ticks nothing, so the rules before it took the rest *)
+  let before = Budget.steps_done full - p.Plan.expansion_steps in
+  let r = check ~budget:(Budget.of_steps (before + 100)) text in
+  match
+    List.find_opt
+      (fun d -> d.Diagnostic.code = "UCQ003")
+      r.Analysis.diagnostics
+  with
+  | None -> Alcotest.fail "UCQ003 not reported"
+  | Some d ->
+      Alcotest.(check bool) "names the plan rule" true
+        (contains ~sub:"in plan" d.Diagnostic.message);
+      Alcotest.(check bool) "no plan" true (r.Analysis.plan = None);
+      Alcotest.(check bool) "the unbudgeted UCQ203 survives" true
+        (List.exists
+           (fun d -> d.Diagnostic.code = "UCQ203")
+           r.Analysis.diagnostics)
+
+(* [wide_repeated l]: l disjuncts cycling through four shapes, with
+   quantified variables renamed per disjunct. *)
+let wide_repeated (l : int) : string =
+  let shape k =
+    match k mod 4 with
+    | 0 -> "E(x, y)"
+    | 1 -> Printf.sprintf "E(x, a%d), E(a%d, y)" k k
+    | 2 -> "E(y, x)"
+    | _ -> Printf.sprintf "E(x, a%d), E(y, a%d)" k k
+  in
+  "(x, y) :- " ^ String.concat " ; " (List.init l shape)
+
+(* The walk ticks the default budget before it allocates or computes
+   anything per index set, so a union too wide for the budget stops in
+   well under a second: one #core per subset up to the 10^6th would
+   take minutes, and 2^30 index lists would not fit in memory. *)
+let test_wide_union_stops () =
+  List.iter
+    (fun l ->
+      let t0 = Unix.gettimeofday () in
+      let r = check (wide_repeated l) in
+      let dt = Unix.gettimeofday () -. t0 in
+      Alcotest.(check bool)
+        (Printf.sprintf "l = %d: UCQ003" l)
+        true
+        (List.exists
+           (fun d -> d.Diagnostic.code = "UCQ003")
+           r.Analysis.diagnostics);
+      Alcotest.(check bool)
+        (Printf.sprintf "l = %d: no plan" l)
+        true (r.Analysis.plan = None);
+      Alcotest.(check bool)
+        (Printf.sprintf "l = %d: under a second (%.2f s)" l dt)
+        true (dt < 1.0))
+    [ 20; 30 ];
+  (* 1 lsl 64 wraps: a mask loop would run zero times and report an
+     empty support *)
+  let r = check (wide_repeated 64) in
+  Alcotest.(check bool) "l = 64: UCQ004" true
+    (List.exists
+       (fun d ->
+         d.Diagnostic.code = "UCQ004"
+         && contains ~sub:"Invalid_argument" d.Diagnostic.message)
+       r.Analysis.diagnostics);
+  Alcotest.(check bool) "l = 64: no plan" true (r.Analysis.plan = None)
+
 (* ------------------------------------------------------------------ *)
 (* Deny semantics                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -305,18 +383,8 @@ let qcheck_deterministic =
       let text = Pretty.ucq (random_query seed) in
       check text = check text)
 
-let pool4 = lazy (Pool.create ~jobs:4 ())
-
-let qcheck_pool_independent =
-  QCheck.Test.make ~name:"analyzer findings independent of --jobs" ~count:40
-    seed_arb (fun seed ->
-      let text = Pretty.ucq (random_query seed) in
-      let seq = check text in
-      let par = check ~pool:(Lazy.force pool4) text in
-      seq.Analysis.diagnostics = par.Analysis.diagnostics)
-
 let qcheck =
-  [ qcheck_roundtrip; qcheck_deterministic; qcheck_pool_independent ]
+  [ qcheck_roundtrip; qcheck_deterministic ]
 
 let suite =
   [
@@ -346,6 +414,10 @@ let suite =
         Alcotest.test_case "UCQ301 plan report" `Quick test_plan_report;
         Alcotest.test_case "UCQ003 budget exhaustion" `Quick
           test_budget_exhaustion;
+        Alcotest.test_case "UCQ003 names the plan rule" `Quick
+          test_budget_exhaustion_in_plan;
+        Alcotest.test_case "UCQ003 stops wide unions fast" `Quick
+          test_wide_union_stops;
         Alcotest.test_case "deny parsing" `Quick test_deny_parsing;
         Alcotest.test_case "denied filter" `Quick test_denied_filter;
         Alcotest.test_case "SARIF emit + validate" `Quick test_sarif_valid;

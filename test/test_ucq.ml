@@ -183,21 +183,134 @@ let test_exhaustive_q_hierarchical () =
   Alcotest.(check bool) "path union fails" false
     (Ucq.is_exhaustively_q_hierarchical path_union)
 
-let test_compiled () =
+let test_count_terms () =
+  (* one support, computed once, counted on several databases: the
+     term-list evaluator agrees with expanding afresh and with the naive
+     oracle; zero-coefficient terms contribute nothing *)
   let psi =
     Ucq.make [ mkcq 2 [ [ 0; 1 ] ] [ 0; 1 ]; mkcq 2 [ [ 1; 0 ] ] [ 0; 1 ] ]
   in
-  let c = Ucq.compile psi in
-  Alcotest.(check int) "support preserved" 2
-    (List.length (Ucq.compiled_support c));
+  let terms = Ucq.support psi in
+  Alcotest.(check int) "support size" 2 (List.length terms);
+  let zero =
+    { Ucq.representative = mkcq 2 [ [ 0; 0 ] ] [ 0; 1 ]; coefficient = 0 }
+  in
   List.iter
     (fun seed ->
       let db = Generators.random_digraph ~seed 6 12 in
+      let expected = Ucq.count_naive psi db in
       Alcotest.(check int)
-        (Printf.sprintf "compiled count seed %d" seed)
-        (Ucq.count_via_expansion psi db)
-        (Ucq.count_compiled c db))
-    [ 1; 2; 3 ]
+        (Printf.sprintf "term list seed %d" seed)
+        expected
+        (Ucq.count_terms terms db);
+      Alcotest.(check int)
+        (Printf.sprintf "zero term seed %d" seed)
+        expected
+        (Ucq.count_terms (zero :: terms) db);
+      Alcotest.(check int)
+        (Printf.sprintf "via expansion seed %d" seed)
+        expected
+        (Ucq.count_via_expansion psi db))
+    [ 1; 2; 3 ];
+  Alcotest.(check int) "empty list" 0
+    (Ucq.count_terms [] (Generators.random_digraph ~seed:4 6 12))
+
+(* ------------------------------------------------------------------ *)
+(* The expansion walk against the subset-by-subset reference          *)
+(* ------------------------------------------------------------------ *)
+
+(* The walk and the reference return the same list, element for
+   element, tick the same steps, and under a budget [cut] steps short
+   of that run out at the same step. *)
+type expander = ?budget:Budget.t -> Ucq.t -> Ucq.expansion_term list
+
+let agrees_with_reference ~(cut : int) (psi : Ucq.t) : bool =
+  let metered (f : expander) =
+    let b = Budget.unlimited () in
+    let terms = f ~budget:b psi in
+    (terms, Budget.steps_done b)
+  in
+  let walk, steps = metered Ucq.expansion in
+  let reference, reference_steps = metered Ucq.expansion_by_subsets in
+  let stopped (f : expander) =
+    match f ~budget:(Budget.of_steps (max 1 (steps - cut))) psi with
+    | (_ : Ucq.expansion_term list) -> None
+    | exception Budget.Exhausted e -> Some e.Budget.steps_done
+  in
+  Ucq.terms_equal walk reference
+  && steps = reference_steps
+  && steps = (1 lsl Ucq.length psi) - 1
+  && stopped Ucq.expansion = stopped Ucq.expansion_by_subsets
+
+(* Lemma 51 unions of three small CNFs (l = 8, 8, 9), the K_t^k unions
+   of Lemma 48 (Psi_1, Psi_2, Lemma 59) and the quantified Lemma 60
+   family. *)
+let expansion_families : Ucq.t list Lazy.t =
+  lazy
+    (List.filter_map
+       (fun (n, clauses) ->
+         match Pipeline.ucq_of_cnf (Cnf.make n clauses) with
+         | Pipeline.Query { psi; _ } -> Some psi
+         | Pipeline.Resolved _ -> None)
+       [
+         (2, [ [ 1; 2 ]; [ -1; 2 ] ]);
+         (2, [ [ 1; 2 ]; [ -1; -2 ] ]);
+         (2, [ [ 1; 2 ]; [ -1; 2 ]; [ 1; -2 ] ]);
+       ]
+    @ [
+        fst (Paper_examples.psi1 ());
+        fst (Paper_examples.psi2 ());
+        fst (Counterexamples.lemma59 3);
+        fst (Counterexamples.lemma59 4);
+        Counterexamples.lemma60 3;
+        Counterexamples.lemma60 4;
+      ])
+
+let shuffle_disjuncts (seed : int) (psi : Ucq.t) : Ucq.t =
+  let st = Random.State.make [| seed |] in
+  let tagged =
+    List.map (fun q -> (Random.State.bits st, q)) (Ucq.disjuncts psi)
+  in
+  Ucq.make (List.map snd (List.sort compare tagged))
+
+let test_expansion_families () =
+  List.iteri
+    (fun k psi ->
+      Alcotest.(check bool)
+        (Printf.sprintf "family %d (l = %d) agrees" k (Ucq.length psi))
+        true
+        (agrees_with_reference ~cut:1 psi))
+    (Lazy.force expansion_families)
+
+let test_expansion_width () =
+  (* 1 lsl l wraps from l = 62: such unions are refused, never walked
+     zero times into an empty support *)
+  let psi = Ucq.make (List.init 64 (fun _ -> mkcq 2 [ [ 0; 1 ] ] [ 0; 1 ])) in
+  List.iter
+    (fun f ->
+      Alcotest.check_raises "64 disjuncts" (Invalid_argument "Combinat.subsets_fold")
+        (fun () -> ignore (f psi : Ucq.expansion_term list)))
+    [ (fun psi -> Ucq.expansion psi); (fun psi -> Ucq.expansion_by_subsets psi) ];
+  let psi = Ucq.make (List.init 62 (fun _ -> mkcq 2 [ [ 0; 1 ] ] [ 0; 1 ])) in
+  Alcotest.check_raises "62 disjuncts" (Invalid_argument "Combinat.subsets_fold")
+    (fun () -> ignore (Ucq.expansion psi : Ucq.expansion_term list))
+
+let qcheck_expansion =
+  let open QCheck in
+  [
+    Test.make ~name:"walk = reference on random unions"
+      ~count:150 (int_range 0 100_000) (fun seed ->
+        let psi =
+          Qgen.random_ucq ~seed ~max_disjuncts:6 ~max_vars:4 ~max_atoms:3
+            Generators.graph_signature
+        in
+        agrees_with_reference ~cut:(seed mod 7) psi);
+    Test.make ~name:"walk = reference on Lemma 51/K_t^k"
+      ~count:20 (int_range 0 100_000) (fun seed ->
+        let families = Lazy.force expansion_families in
+        let psi = List.nth families (seed mod List.length families) in
+        agrees_with_reference ~cut:(1 + (seed mod 5)) (shuffle_disjuncts seed psi));
+  ]
 
 let qcheck_counting =
   let open QCheck in
@@ -267,9 +380,13 @@ let suite =
         Alcotest.test_case "expansion classes" `Quick test_expansion_distinct_classes;
         Alcotest.test_case "restrict semantics" `Quick test_restrict_semantics;
         Alcotest.test_case "size and arity" `Quick test_size_and_arity;
-        Alcotest.test_case "compiled expansions" `Quick test_compiled;
+        Alcotest.test_case "term-list evaluation" `Quick test_count_terms;
         Alcotest.test_case "exhaustive q-hierarchicality" `Quick
           test_exhaustive_q_hierarchical;
+        Alcotest.test_case "walk on Lemma 51 and K_t^k unions" `Quick
+          test_expansion_families;
+        Alcotest.test_case "expansion refuses 62+ disjuncts" `Quick
+          test_expansion_width;
       ]
-      @ List.map QCheck_alcotest.to_alcotest qcheck_counting );
+      @ List.map QCheck_alcotest.to_alcotest (qcheck_counting @ qcheck_expansion) );
   ]

@@ -2,7 +2,7 @@
     named on the command line (default [BENCH_parallel.json]) and
     dispatches on its shape: a file with a [workloads] array gets the
     parallel bars, a file with [kind = "optimize"] gets the optimizer
-    bars.
+    bars, a file with [kind = "expansion"] the expansion bars.
 
     Parallel bars (BENCH_parallel.json — the parallel hot path must pay
     for itself):
@@ -29,6 +29,13 @@
     and end-to-end optimize+count wall time must not lose to the
     unoptimized count (10% tolerance; skipped with a NOTICE when the
     unoptimized run is under 1 ms — below the wall-clock noise floor).
+
+    Expansion bars (BENCH_expansion.json — the Lemma 26 walk by class
+    transitions against the subset-by-subset reference, all counts
+    deterministic): for every union the two term lists are equal, the
+    budget steps of both equal the subset count [2^ℓ − 1], classes and
+    support size equal the reference's, and from ℓ = 8 on the walk
+    computes fewer #cores than there are subsets.
 
     Exits 1 on any violation, 0 otherwise. *)
 
@@ -129,6 +136,37 @@ let check_optimize (path : string) (j : Trace_json.t) : unit =
       path wall_opt wall_un
       (wall_un /. wall_opt)
 
+let check_expansion (path : string) (j : Trace_json.t) : unit =
+  List.iter
+    (fun u ->
+      let name = str_exn "name" u in
+      let int k v = int_of_float (num_exn k v) in
+      let l = int "l" u and subsets = int "subsets" u in
+      let walk = mem_exn "walk" u and reference = mem_exn "reference" u in
+      if not (bool_exn "equal" u) then
+        fail "%s: %s: the walk's terms differ from the reference's" path name;
+      List.iter
+        (fun (side, v) ->
+          if int "steps" v <> subsets then
+            fail "%s: %s: %s ticked %d steps for %d subsets" path name side
+              (int "steps" v) subsets)
+        [ ("walk", walk); ("reference", reference) ];
+      List.iter
+        (fun k ->
+          if int k walk <> int k reference then
+            fail "%s: %s: %s %d differs from the reference's %d" path name k
+              (int k walk) (int k reference))
+        [ "classes"; "support" ];
+      if l >= 8 && int "cores" walk >= subsets then
+        fail "%s: %s: the walk computed %d #cores for %d subsets" path name
+          (int "cores" walk) subsets;
+      Printf.printf
+        "bench_check: %s %s l=%d: %d #cores for %d subsets, %d classes, \
+         support %d\n"
+        path name l (int "cores" walk) subsets (int "classes" walk)
+        (int "support" walk))
+    (arr_exn "unions" j)
+
 let check_parallel (path : string) (j : Trace_json.t) : unit =
   let workloads = arr_exn "workloads" j in
   (* determinism bars: hold regardless of core count *)
@@ -209,6 +247,7 @@ let () =
       in
       match Trace_json.member "kind" j with
       | Some (Trace_json.Str "optimize") -> check_optimize path j
+      | Some (Trace_json.Str "expansion") -> check_expansion path j
       | _ -> check_parallel path j)
     paths;
   if !fail_count > 0 then begin

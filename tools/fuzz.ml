@@ -272,6 +272,61 @@ let () =
               if Ucq.count_via_expansion ?pool r.Optimize.optimized db <> naive
               then report "OPTIMIZE CHANGES PAR-EXP COUNT seed %d" seed
         done);
+    (* the Lemma 26 expansion walk against the subset-by-subset
+       reference: the same terms in the same order, the same budget
+       steps — on random unions and on Lemma 51 and K_t^k unions with
+       their disjuncts in seeded random order *)
+    section "fuzz.expansion" (fun () ->
+        let agree name psi =
+          let metered (f : ?budget:Budget.t -> Ucq.t -> Ucq.expansion_term list) =
+            let b = Budget.unlimited () in
+            let terms = f ~budget:b psi in
+            (terms, Budget.steps_done b)
+          in
+          let walk, steps = metered Ucq.expansion in
+          let reference, reference_steps = metered Ucq.expansion_by_subsets in
+          if not (Ucq.terms_equal walk reference) then
+            report "EXPANSION WALK MISMATCH %s" name;
+          if steps <> reference_steps then
+            report "EXPANSION STEPS MISMATCH %s (%d vs %d)" name steps
+              reference_steps
+        in
+        for seed = 0 to iters 400 do
+          agree (Printf.sprintf "seed %d" seed)
+            (Qgen.random_ucq ~seed ~max_disjuncts:(1 + (seed mod 6)) ~max_vars:4
+               ~max_atoms:3 sg)
+        done;
+        let families =
+          List.filter_map
+            (fun (n, clauses) ->
+              match Pipeline.ucq_of_cnf (Cnf.make n clauses) with
+              | Pipeline.Query { psi; _ } -> Some psi
+              | Pipeline.Resolved _ -> None)
+            [
+              (2, [ [ 1; 2 ]; [ -1; 2 ] ]);
+              (2, [ [ 1; 2 ]; [ -1; -2 ] ]);
+              (2, [ [ 1; 2 ]; [ -1; 2 ]; [ 1; -2 ] ]);
+            ]
+          @ [
+              fst (Paper_examples.psi1 ());
+              fst (Paper_examples.psi2 ());
+              fst (Counterexamples.lemma59 3);
+              Counterexamples.lemma60 3;
+            ]
+        in
+        for seed = 0 to iters 40 do
+          let psi = List.nth families (seed mod List.length families) in
+          let st = Random.State.make [| seed |] in
+          let shuffled =
+            Ucq.make
+              (List.map snd
+                 (List.sort compare
+                    (List.map
+                       (fun q -> (Random.State.bits st, q))
+                       (Ucq.disjuncts psi))))
+          in
+          agree (Printf.sprintf "family seed %d" seed) shuffled
+        done);
     (* serve-mode wire protocol: the crash corpus and random bytes
        through Protocol.parse_request — it must never raise, must be
        deterministic, and every response it leads to must render as one
