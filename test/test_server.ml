@@ -494,6 +494,128 @@ let test_server_pool_reuse () =
       | None -> Alcotest.fail "stats response has no result");
       Unix.close fd)
 
+(* ------------------------------------------------------------------ *)
+(* Served golden transcript                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* One fixed request script against an in-process server, compared line
+   for line with [serve_golden.txt]: each [> request] line is sent and
+   the response must equal the [< response] line after it.  Volatile
+   fields are removed first ([request_id], [elapsed_ms], [queue_ms],
+   [result.abandoned.elapsed_s]), and a [stats] answer keeps only its
+   [db] block.  Setting [UCQC_GOLDEN_RECORD=FILE] writes the actual
+   transcript to FILE (for re-recording after a deliberate change). *)
+
+let golden_db_text =
+  "universe { 0, 1, 2, 3, 4, 5 }\n\
+   E(0, 1). E(1, 2). E(2, 0). E(2, 3). E(3, 4). E(4, 2).\n\
+   R(0). R(2). R(4).\n"
+
+let normalize_response (line : string) : string =
+  let drop keys fs = List.filter (fun (k, _) -> not (List.mem k keys)) fs in
+  let rec fix_result = function
+    | Trace_json.Obj fs ->
+        Trace_json.Obj
+          (List.map
+             (fun (k, v) ->
+               match (k, v) with
+               | "abandoned", Trace_json.Obj a -> (k, Trace_json.Obj (drop [ "elapsed_s" ] a))
+               | _ -> (k, fix_result v))
+             fs)
+    | v -> v
+  in
+  match Trace_json.parse line with
+  | Trace_json.Obj fs ->
+      let fs = drop [ "request_id"; "elapsed_ms"; "queue_ms" ] fs in
+      let is_stats =
+        match List.assoc_opt "result" fs with
+        | Some r -> Trace_json.member "uptime_ms" r <> None
+        | None -> false
+      in
+      let fs =
+        List.map
+          (fun (k, v) ->
+            match k with
+            | "result" when is_stats ->
+                ( k,
+                  Trace_json.Obj
+                    [
+                      ( "db",
+                        Option.value ~default:Trace_json.Null
+                          (Trace_json.member "db" v) );
+                    ] )
+            | "result" -> (k, fix_result v)
+            | _ -> (k, v))
+          fs
+      in
+      Trace_json.to_string (Trace_json.Obj fs)
+  | v -> Trace_json.to_string v
+
+let test_server_golden_transcript () =
+  let file =
+    List.find Sys.file_exists [ "serve_golden.txt"; "test/serve_golden.txt" ]
+  in
+  let script =
+    In_channel.with_open_text file In_channel.input_lines
+    |> List.filter_map (fun l ->
+           if String.length l >= 2 && (l.[0] = '>' || l.[0] = '<') then
+             Some (l.[0], String.sub l 2 (String.length l - 2))
+           else None)
+  in
+  let requests = List.filter_map (fun (k, l) -> if k = '>' then Some l else None) script in
+  let expected = List.filter_map (fun (k, l) -> if k = '<' then Some l else None) script in
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "ucqc-test-golden-%d.sock" (Unix.getpid ()))
+  in
+  if Sys.file_exists path then Sys.remove path;
+  let config =
+    {
+      (Server.default_config ~listen:(Server.Unix_socket path) ~jobs:1) with
+      Server.queue_depth = 8;
+      cache_capacity = 8;
+      request_timeout_s = Some 10.;
+    }
+  in
+  let db, env =
+    match Parse.database_result golden_db_text with
+    | Ok v -> v
+    | Error _ -> Alcotest.fail "golden database must parse"
+  in
+  let t = Server.start ~env config ~db in
+  let actual =
+    Fun.protect
+      ~finally:(fun () -> ignore (Server.stop t : int))
+      (fun () ->
+        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+        Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+        Unix.connect fd (Unix.ADDR_UNIX path);
+        let ic = Unix.in_channel_of_descr fd in
+        let answers =
+          List.map
+            (fun req ->
+              let line = req ^ "\n" in
+              ignore (Unix.write_substring fd line 0 (String.length line) : int);
+              normalize_response (input_line ic))
+            requests
+        in
+        Unix.close fd;
+        answers)
+  in
+  (match Sys.getenv_opt "UCQC_GOLDEN_RECORD" with
+  | Some out when out <> "" ->
+      Out_channel.with_open_text out (fun oc ->
+          List.iter2
+            (fun req resp -> Printf.fprintf oc "> %s\n< %s\n" req resp)
+            requests actual)
+  | _ -> ());
+  Alcotest.(check int) "one expected response per request"
+    (List.length requests) (List.length expected);
+  List.iteri
+    (fun i (want, got) ->
+      Alcotest.(check string) (Printf.sprintf "response %d" (i + 1)) want got)
+    (List.combine expected actual)
+
 let suite =
   [
     ( "server",
@@ -512,5 +634,7 @@ let suite =
         Alcotest.test_case "end to end" `Quick test_server_end_to_end;
         Alcotest.test_case "pool reuse across requests" `Quick
           test_server_pool_reuse;
+        Alcotest.test_case "served golden transcript" `Quick
+          test_server_golden_transcript;
       ] );
   ]
