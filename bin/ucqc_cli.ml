@@ -463,39 +463,16 @@ let check_cmd =
                 (read_file path))
             files
         in
-        (* under --optimize the maintenance tier the serve/watch engines
-           will actually use is the post-rewrite one; when it differs
-           from the as-written tier (UCQ207 / update_tier), say so *)
+        (* under --optimize, report where the rewrite changes the
+           maintenance tier (UCQ405) *)
         let reports =
           if not optimize then reports
           else
             List.map2
-              (fun path (r : Analysis.report) ->
-                match
-                  (r.Analysis.update_tier, Parse.ucq_result (read_file path))
-                with
-                | Some sel, Ok (psi, _) ->
-                    let orep = Optimize.run psi in
-                    let sel' = Tier.select orep.Optimize.optimized in
-                    if orep.Optimize.changed && sel'.Tier.tier <> sel.Tier.tier
-                    then
-                      let d =
-                        Diagnostic.make "UCQ405"
-                          "maintenance tier changes under --optimize: tier \
-                           %s as written, tier %s after the \
-                           count-preserving rewrite (%s)"
-                          (Tier.to_string sel.Tier.tier)
-                          (Tier.to_string sel'.Tier.tier)
-                          sel'.Tier.reason
-                      in
-                      {
-                        r with
-                        Analysis.diagnostics =
-                          List.sort Diagnostic.compare
-                            (d :: r.Analysis.diagnostics);
-                      }
-                    else r
-                | _ -> r)
+              (fun path r ->
+                match Parse.ucq_result (read_file path) with
+                | Ok (psi, _) -> Optimize.with_tier_change r psi
+                | Error _ -> r)
               files reports
         in
         (match format with
@@ -914,73 +891,51 @@ let watch_cmd =
                       "watch needs at least one query file and a database \
                        file"))
         in
-        let pool = pool_of jobs in
         let db0, env = parse_db_file dbfile in
-        let d = Delta.open_db ~env db0 in
-        let queries = List.map (fun p -> (p, fst (parse_ucq_file p))) qfiles in
-        let fresh_budget () =
-          match (max_steps, timeout) with
-          | None, None -> None
-          | _ -> Some (budget_of max_steps timeout)
+        let s =
+          Session.create ~env ~optimize:false
+            ~capacity:(List.length qfiles) ~pool:(pool_of jobs) db0
         in
-        let states =
+        let budget () = budget_of max_steps timeout in
+        (* registered eagerly, so the initial counts are maintained *)
+        let queries =
           List.map
-            (fun (p, psi) -> (p, Delta.prepare ?budget:(fresh_budget ()) psi d))
-            queries
+            (fun p ->
+              match Session.prepare s (read_file p) with
+              | Cache.Invalid e -> raise (Ucqc_error.Error e)
+              | Cache.Hit e | Cache.Interned e | Cache.Miss e ->
+                  (p, e, Session.register s ~budget e))
+            qfiles
         in
-        let g_epoch = Telemetry.gauge "watch.db.epoch" in
-        let c_applied = Telemetry.counter "watch.updates.applied" in
-        let c_noop = Telemetry.counter "watch.updates.noop" in
-        let c_rejected = Telemetry.counter "watch.updates.rejected" in
-        let c_maintained = Telemetry.counter "watch.counts.maintained" in
-        let c_memoized = Telemetry.counter "watch.counts.memoized" in
-        let c_recomputed = Telemetry.counter "watch.counts.recomputed" in
-        let any_rejected = ref false in
-        let any_degraded = ref false in
-        (* one count per query: read off the maintained state when it is
-           live, otherwise recompute exactly and memoize.  [None] means
-           the budget ran out: the count is unavailable this epoch but
-           the stream keeps going (degraded, exit 2) — unless
-           --no-fallback turned that into a hard 124. *)
-        let count_for (st : Delta.state) : int option * string =
-          match Delta.maintained_count st d with
-          | Some (n, Delta.Maintained) ->
-              Telemetry.incr c_maintained;
-              (Some n, "maintained")
-          | Some (n, Delta.Memoized) ->
-              Telemetry.incr c_memoized;
-              (Some n, "memoized")
-          | None -> (
-              match
-                Runner.count ~via:Runner.Expansion ~fallback:false ~seed:1
-                  ~pool
-                  ~budget:(budget_of max_steps timeout)
-                  (Delta.query st) (Delta.structure d)
-              with
-              | Ok (Runner.Exact n) ->
-                  Telemetry.incr c_recomputed;
-                  Delta.memoize st d n;
-                  (Some n, "recomputed")
-              | Ok (Runner.Approximate _) ->
-                  (* unreachable with ~fallback:false; treat as absent *)
-                  (None, "unavailable")
-              | Error e ->
-                  if no_fallback then raise (Ucqc_error.Error e);
-                  any_degraded := true;
-                  (None, "unavailable"))
-        in
+        let any_rejected = ref false and any_degraded = ref false in
+        let num i = Trace_json.Num (float_of_int i) in
+        (* one count per query.  [null] means the budget ran out: the
+           count is unavailable this epoch but the stream keeps going
+           (degraded, exit 2) — unless --no-fallback made that a hard
+           124. *)
         let counts_json () : Trace_json.t =
           Trace_json.Arr
             (List.map
-               (fun (path, st) ->
-                 let n, source = count_for st in
+               (fun (path, e, st) ->
+                 let o = Session.count s ~fallback:false ~budget e in
+                 let count, source =
+                   match o.Session.result with
+                   | Ok (Runner.Exact n) ->
+                       ( num n,
+                         match o.Session.source with
+                         | Session.Maintained -> "maintained"
+                         | Session.Memoized -> "memoized"
+                         | Session.Computed -> "recomputed" )
+                   | Error e when no_fallback -> raise (Ucqc_error.Error e)
+                   (* an estimate is unreachable without fallback *)
+                   | result ->
+                       if Result.is_error result then any_degraded := true;
+                       (Trace_json.Null, "unavailable")
+                 in
                  Trace_json.Obj
                    ([
                       ("query", Trace_json.Str path);
-                      ( "count",
-                        match n with
-                        | Some n -> Trace_json.Num (float_of_int n)
-                        | None -> Trace_json.Null );
+                      ("count", count);
                       ("source", Trace_json.Str source);
                       ( "tier",
                         Trace_json.Str
@@ -992,7 +947,7 @@ let watch_cmd =
                    | Some reason ->
                        any_degraded := true;
                        [ ("degraded", Trace_json.Str reason) ]))
-               states)
+               queries)
         in
         let emit (fields : (string * Trace_json.t) list) : unit =
           print_endline (Trace_json.to_string (Trace_json.Obj fields));
@@ -1000,10 +955,9 @@ let watch_cmd =
         in
         let emit_rejected lineno text (e : Ucqc_error.t) : unit =
           any_rejected := true;
-          Telemetry.incr c_rejected;
           emit
             [
-              ("line", Trace_json.Num (float_of_int lineno));
+              ("line", num lineno);
               ("status", Trace_json.Str "rejected");
               ("input", Trace_json.Str text);
               ("error", Trace_json.Str (Ucqc_error.to_string e));
@@ -1013,13 +967,13 @@ let watch_cmd =
            tier with the classifier's reason *)
         emit
           [
-            ("line", Trace_json.Num 0.);
+            ("line", num 0);
             ("status", Trace_json.Str "initial");
-            ("epoch", Trace_json.Num (float_of_int (Delta.epoch d)));
+            ("epoch", num (Delta.epoch (Session.db s)));
             ( "tiers",
               Trace_json.Arr
                 (List.map
-                   (fun (path, st) ->
+                   (fun (path, _, st) ->
                      let sel = Delta.selection st in
                      Trace_json.Obj
                        [
@@ -1027,7 +981,7 @@ let watch_cmd =
                          ("tier", Trace_json.Str (Tier.to_string sel.Tier.tier));
                          ("reason", Trace_json.Str sel.Tier.reason);
                        ])
-                   states) );
+                   queries) );
             ("counts", counts_json ());
           ];
         let ic = match input with Some p -> open_in p | None -> stdin in
@@ -1044,62 +998,20 @@ let watch_cmd =
                  | Ok Delta_parse.Blank -> ()
                  | Error e -> emit_rejected lineno text e
                  | Ok (Delta_parse.Deltas specs) -> (
-                     (* resolve and validate the whole batch before
-                        applying any of it: a bad delta in an NDJSON
-                        'apply' rejects the batch atomically *)
-                     let resolved =
-                       List.fold_left
-                         (fun acc spec ->
-                           match acc with
-                           | Error _ -> acc
-                           | Ok us -> (
-                               match Delta.resolve d spec with
-                               | Ok u -> Ok (u :: us)
-                               | Error e -> Error e))
-                         (Ok []) specs
-                     in
-                     match resolved with
+                     (* an NDJSON 'apply' batch is atomic: one bad delta
+                        rejects all of it *)
+                     match
+                       Session.apply s ~budget (List.map Result.ok specs)
+                     with
                      | Error e -> emit_rejected lineno text e
-                     | Ok rev_updates ->
-                         let applied = ref 0 in
-                         let noops = ref 0 in
-                         List.iter
-                           (fun u ->
-                             match Delta.apply d u with
-                             | Error e ->
-                                 (* validated above; a failure here is an
-                                    invariant break *)
-                                 raise
-                                   (Ucqc_error.Error
-                                      (Ucqc_error.Internal
-                                         ("watch: validated delta failed to \
-                                           apply: "
-                                         ^ Ucqc_error.to_string e)))
-                             | Ok r ->
-                                 if r.Delta.changed then begin
-                                   incr applied;
-                                   Telemetry.incr c_applied;
-                                   List.iter
-                                     (fun (_, st) ->
-                                       Delta.apply_state
-                                         ?budget:(fresh_budget ()) st d r)
-                                     states
-                                 end
-                                 else begin
-                                   incr noops;
-                                   Telemetry.incr c_noop
-                                 end)
-                           (List.rev rev_updates);
-                         Telemetry.set_gauge g_epoch
-                           (float_of_int (Delta.epoch d));
+                     | Ok b ->
                          emit
                            [
-                             ("line", Trace_json.Num (float_of_int lineno));
+                             ("line", num lineno);
                              ("status", Trace_json.Str "ok");
-                             ("applied", Trace_json.Num (float_of_int !applied));
-                             ("noop", Trace_json.Num (float_of_int !noops));
-                             ( "epoch",
-                               Trace_json.Num (float_of_int (Delta.epoch d)) );
+                             ("applied", num b.Session.applied);
+                             ("noop", num b.Session.noop);
+                             ("epoch", num b.Session.epoch);
                              ("counts", counts_json ());
                            ])
                done
@@ -1107,7 +1019,8 @@ let watch_cmd =
             Option.iter
               (fun path ->
                 write_file_with path (fun oc ->
-                    output_string oc (Delta.render_facts (Delta.structure d))))
+                    output_string oc
+                      (Delta.render_facts (Delta.structure (Session.db s)))))
               final_db;
             if !any_rejected then Ucqc_error.exit_code (Ucqc_error.Unsupported "")
             else if !any_degraded then Runner.exit_degraded

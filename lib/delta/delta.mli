@@ -1,5 +1,5 @@
-(** The tiered incremental-counting engine behind [ucqc watch] and the
-    server's mutation ops.
+(** The tiered incremental-counting engine behind the live-update
+    session ([Session] in [lib/server]) of [ucqc watch] and [ucqc serve].
 
     A {!db} is a mutable single-writer database session: the universe
     and signature are fixed at load time (the dynamic setting of
@@ -55,9 +55,7 @@ val epoch : db -> int
 val resolve : db -> Delta_parse.spec -> (update, Ucqc_error.t) result
 
 (** [validate d u] runs the {!resolve}-level checks on an already
-    interned update (relation, arity, universe) without applying it —
-    the server validates a whole [apply] batch before touching the
-    database, making batches atomic. *)
+    interned update (relation, arity, universe) without applying it. *)
 val validate : db -> update -> (unit, Ucqc_error.t) result
 
 (** The receipt of one accepted update: [changed] is false for no-op

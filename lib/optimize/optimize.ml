@@ -333,3 +333,25 @@ let report_to_json ?(env : Parse.query_env option) (r : report) :
       ("kept", Trace_json.Arr (List.map num r.kept));
       ("rewrites", Trace_json.Arr (List.map rewrite_to_json r.rewrites));
     ]
+
+let with_tier_change (r : Analysis.report) (psi : Ucq.t) : Analysis.report =
+  match r.Analysis.update_tier with
+  | None -> r
+  | Some sel ->
+      let orep = run psi in
+      let sel' = Tier.select orep.optimized in
+      if orep.changed && sel'.Tier.tier <> sel.Tier.tier then
+        let d =
+          Diagnostic.make "UCQ405"
+            "maintenance tier changes under --optimize: tier %s as written, \
+             tier %s after the count-preserving rewrite (%s)"
+            (Tier.to_string sel.Tier.tier)
+            (Tier.to_string sel'.Tier.tier)
+            sel'.Tier.reason
+        in
+        {
+          r with
+          Analysis.diagnostics =
+            List.sort Diagnostic.compare (d :: r.Analysis.diagnostics);
+        }
+      else r

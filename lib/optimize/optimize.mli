@@ -110,3 +110,9 @@ val rewrite_to_json : rewrite -> Trace_json.t
 (** [report_to_json ?env r] is the [--format json] payload of
     [ucqc optimize]. *)
 val report_to_json : ?env:Parse.query_env -> report -> Trace_json.t
+
+(** [with_tier_change r psi] is the [check --optimize] step: when the
+    rewrite of [psi] changes its update-maintenance tier from the one
+    [r] reports (UCQ207's [update_tier]), [r] gains a UCQ405 finding
+    naming both tiers; otherwise [r] is returned unchanged. *)
+val with_tier_change : Analysis.report -> Ucq.t -> Analysis.report

@@ -180,4 +180,6 @@ let parse_total (text : string) :
 let lookup (t : t) (text : string) : outcome =
   match find t text with
   | Some o -> o
-  | None -> admit t text (parse_total text)
+  | None ->
+      admit t text
+        (Telemetry.with_span "session.parse" (fun () -> parse_total text))

@@ -18,11 +18,11 @@
     own equally-bounded table — a malformed query hammered in a loop
     must not cost a re-parse per hit.
 
-    The lookup is split in two so the caller can meter the parse:
-    {!find} is the no-parse fast path; on [None] the caller parses and
-    {!admit}s the result.  Not thread-safe by design: only the server's
-    single evaluator thread touches the cache (the same single-writer
-    discipline that keeps the telemetry buffers race-free). *)
+    Only a lookup that misses the text front-map parses, under the span
+    [session.parse]: a repeated text's trace has none.  Not thread-safe
+    by design: only the thread that owns the {!Session} touches the
+    cache (the same single-writer discipline that keeps the telemetry
+    buffers race-free). *)
 
 type entry = {
   ucq : Ucq.t;
@@ -41,8 +41,9 @@ type entry = {
       (** the count-preserving rewrite, computed once at prepare time;
           [identity] when optimization is disabled *)
   mutable maint : Delta.state option;
-      (** the tiered incremental-counting state, built lazily at the
-          first [count] of this entry.  The analysis artifacts above
+      (** the tiered incremental-counting state, built by
+          {!Session.register} (eagerly under watch, at the first
+          [count] under serve).  The analysis artifacts above
           are epoch-independent; count memos live inside the state,
           keyed by the database epoch *)
   mutable hits : int;  (** lookups served from this entry *)
@@ -66,22 +67,9 @@ type t
     as many cached failures ([capacity = 0] disables caching). *)
 val create : capacity:int -> unit -> t
 
-(** [find t text] is the parse-free fast path: [Some (Hit _)] or
-    [Some (Invalid _)] when the exact text is known, [None] otherwise. *)
-val find : t -> string -> outcome option
-
-(** [admit t text parsed] records a parse result for a text {!find}
-    missed and returns the outcome ({!Miss}, {!Interned}, or
-    {!Invalid}).  With [capacity = 0] nothing is stored. *)
-val admit :
-  t ->
-  string ->
-  (Ucq.t * Parse.query_env, Ucqc_error.t) result ->
-  outcome
-
-(** [lookup t text] is [find] followed by a {!Parse.ucq_result} +
-    [admit] on miss — the convenience the unit tests use.  Never
-    raises. *)
+(** [lookup t text] answers a known text without parsing ({!Hit}, or
+    a cached {!Invalid}); otherwise it parses and records the result.
+    With [capacity = 0] nothing is stored.  Never raises. *)
 val lookup : t -> string -> outcome
 
 (** [iter t f] applies [f] to every prepared entry (evaluator thread

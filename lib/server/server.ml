@@ -85,19 +85,6 @@ let c_cache_invalid = Telemetry.counter "serve.cache.invalid"
 let c_idle_closed = Telemetry.counter "serve.idle_closed"
 let c_discarded = Telemetry.counter "serve.discarded"
 let c_slow = Telemetry.counter "serve.slow_queries"
-let c_updates_applied = Telemetry.counter "serve.updates.applied"
-let c_updates_noop = Telemetry.counter "serve.updates.noop"
-let c_opt_queries = Telemetry.counter "serve.optimize.queries_rewritten"
-let c_opt_disjuncts = Telemetry.counter "serve.optimize.disjuncts_removed"
-let c_opt_atoms = Telemetry.counter "serve.optimize.atoms_removed"
-
-(* predicted-cost delta of the most recent rewritten prepare: plan cost
-   of the original minus the optimized query (positive = cheaper) *)
-let g_opt_cost_delta = Telemetry.gauge "serve.optimize.predicted_cost_delta"
-
-(* the session epoch, exported so a scrape can tell "no updates yet"
-   from "updates applied" without a stats round-trip *)
-let g_db_epoch = Telemetry.gauge "serve.db.epoch"
 
 (* per-query-class request counters: the /metrics breakdown by op *)
 let op_counters =
@@ -118,10 +105,6 @@ let op_latency_histograms =
 
 let h_count_steps = Telemetry.histogram "serve.steps.count"
 let h_drift = Telemetry.histogram "serve.drift_ratio"
-
-(* A prediction that cannot finish within this cap is treated as "no
-   prediction" rather than charged to the evaluator. *)
-let plan_predict_cap = 200_000
 
 (* Below this many observed steps a large drift ratio is noise (a tiny
    query mispredicted by 10x is still instant); no slow-log entry. *)
@@ -221,12 +204,9 @@ type work = {
 
 type t = {
   cfg : config;
-  (* the mutable database session; only the evaluator thread may apply
-     updates or read the structure after [start] returns *)
-  ddb : Delta.db;
-  db_elems : int;
-  db_tuples : int;  (* load-time figure, kept as the plan baseline *)
-  pool : Pool.t;
+  (* the database, the prepared-query cache and the pool; only the
+     evaluator thread may use it after [start] returns *)
+  session : Session.t;
   listen_fd : Unix.file_descr;
   queue : work Admission.t;
   stats : stats;
@@ -345,7 +325,7 @@ let stats_response (t : t) ?id () : Protocol.response =
         Trace_json.Obj
           [
             ("uptime_ms", fnum (uptime_ms t));
-            ("jobs", num (Pool.jobs t.pool));
+            ("jobs", num (Pool.jobs (Session.pool t.session)));
             (* resident-pool health: a steady server holds the spawn
                count constant while requests are served — if it grows
                per request, domain reuse is broken *)
@@ -424,73 +404,16 @@ let cap_timeout (t : t) (req_ms : float option) : float option =
   | (Some _ as c), None -> c
   | Some c, Some r -> Some (Float.min c r)
 
-(* The count-preserving rewrite, computed once per entry (at prepare
-   time for a miss, lazily for entries that predate the optimizer).
-   Analyzer witnesses are passed as hints only when the analysis is
-   already memoized — the optimizer's own budgeted search is cheaper
-   than forcing a full analysis.  The predicted-cost delta of a
-   rewritten query is profiled here, and the optimized-query cost seeds
-   the drift tracker's memo so it is not re-profiled per request. *)
-let entry_optimized (t : t) (entry : Cache.entry) : Optimize.report =
-  match entry.Cache.optimized with
-  | Some r -> r
-  | None ->
-      let r =
-        if not t.cfg.optimize then Optimize.identity entry.Cache.ucq
-        else
-          Telemetry.with_span "serve.optimize" (fun () ->
-              let hints =
-                match entry.Cache.analysis with
-                | Some a -> a.Analysis.diagnostics
-                | None -> []
-              in
-              Optimize.run ~hints entry.Cache.ucq)
-      in
-      if r.Optimize.changed then begin
-        Telemetry.incr c_opt_queries;
-        Telemetry.add c_opt_disjuncts (Optimize.disjuncts_removed r);
-        Telemetry.add c_opt_atoms (Optimize.atoms_removed r);
-        let cost q =
-          Telemetry.with_span "serve.plan" (fun () ->
-              Plan.try_cost ~max_steps:plan_predict_cap
-                ~db_elems:t.db_elems ~db_tuples:t.db_tuples q)
-        in
-        let after = cost r.Optimize.optimized in
-        entry.Cache.plan_cost <- Some after;
-        match (cost r.Optimize.original, after) with
-        | Some before, Some after ->
-            Telemetry.set_gauge g_opt_cost_delta (before -. after)
-        | _ -> ()
-      end;
-      entry.Cache.optimized <- Some r;
-      r
-
-(* Cache lookup with the parse metered under its own span — a repeated
-   query's trace visibly has no [serve.parse] (the acceptance criterion
-   for the prepared-query cache). *)
-let prepare (t : t) (cache : Cache.t) (text : string) : Cache.outcome =
-  let outcome =
-    match Cache.find cache text with
-    | Some o -> o
-    | None ->
-        let parsed =
-          Telemetry.with_span "serve.parse" (fun () ->
-              match Parse.ucq_result text with
-              | r -> r
-              | exception e ->
-                  Error (Ucqc_error.Internal (Printexc.to_string e)))
-        in
-        Cache.admit cache text parsed
-  in
+(* The session's lookup (parse, then the rewrite on a miss), counted
+   into the cache statistics. *)
+let prepare (t : t) (text : string) : Cache.outcome =
+  let outcome = Session.prepare t.session text in
   (match outcome with
   | Cache.Hit _ -> bump t.stats.cache_hits c_cache_hit
   | Cache.Interned _ -> bump t.stats.cache_interned c_cache_interned
-  | Cache.Miss entry ->
-      bump t.stats.cache_misses c_cache_miss;
-      (* optimization happens once, at prepare time *)
-      ignore (entry_optimized t entry : Optimize.report)
+  | Cache.Miss _ -> bump t.stats.cache_misses c_cache_miss
   | Cache.Invalid _ -> bump t.stats.cache_invalid c_cache_invalid);
-  Atomic.set t.stats.cache_entries (Cache.entries cache);
+  Atomic.set t.stats.cache_entries (Cache.entries (Session.cache t.session));
   outcome
 
 let abandoned_json (a : Runner.abandoned) : Trace_json.t =
@@ -504,23 +427,6 @@ let abandoned_json (a : Runner.abandoned) : Trace_json.t =
 (* ------------------------------------------------------------------ *)
 (* Plan-drift tracking                                                *)
 (* ------------------------------------------------------------------ *)
-
-(* Memoized per cache entry: the plan predictor's total-cost estimate
-   for this query on this database.  [Some None] records "the predictor
-   itself capped out" so it is never retried per request. *)
-let predicted_cost (t : t) (entry : Cache.entry) : float option =
-  match entry.Cache.plan_cost with
-  | Some memo -> memo
-  | None ->
-      (* predict the query the evaluator actually runs *)
-      let ucq = (entry_optimized t entry).Optimize.optimized in
-      let memo =
-        Telemetry.with_span "serve.plan" (fun () ->
-            Plan.try_cost ~max_steps:plan_predict_cap
-              ~db_elems:t.db_elems ~db_tuples:t.db_tuples ucq)
-      in
-      entry.Cache.plan_cost <- Some memo;
-      memo
 
 (* Lint codes for a slow-log entry, via the same memoized analysis the
    [check] op uses (primary spelling only — good enough for a log). *)
@@ -546,7 +452,7 @@ let entry_lint_codes (entry : Cache.entry) : string list =
 let note_drift (t : t) ~(rid : string) ~(query : string)
     ~(entry : Cache.entry) ~(observed : int) ~(elapsed_ms : float)
     ~(degradation : string) : unit =
-  match predicted_cost t entry with
+  match Session.plan_cost t.session entry with
   | None -> ()
   | Some pred when pred <= 0. -> ()
   | Some pred ->
@@ -577,66 +483,65 @@ let note_drift (t : t) ~(rid : string) ~(query : string)
             flush oc
       end
 
-let answer_count (t : t) (cache : Cache.t) ?id ~rid ~query ~meth ~seed
-    ~max_steps ~timeout_ms ~no_fallback () : Protocol.response =
-  let outcome = prepare t cache query in
+let answer_count (t : t) ?id ~rid ~query ~meth ~seed ~max_steps ~timeout_ms
+    ~no_fallback () : Protocol.response =
+  let outcome = prepare t query in
   let cache_field = ("cache", Trace_json.Str (Cache.outcome_label outcome)) in
   match outcome with
   | Cache.Invalid err ->
       let r = Protocol.of_ucqc_error ?id err in
       { r with Protocol.body = r.Protocol.body @ [ cache_field ] }
   | Cache.Hit entry | Cache.Interned entry | Cache.Miss entry -> (
-      (* Evaluate the count-preserving rewrite of the query: same count
-         by construction, fewer disjuncts for the 2^l engines and the
-         maintained state. *)
-      let eval_ucq = (entry_optimized t entry).Optimize.optimized in
-      (* Tiered incremental counting: build the maintained state at the
-         first count of a retained entry (capacity-0 entries are
-         throwaway, and tier-B preparation is not free), then prefer a
-         maintained or epoch-memoized count over any recomputation.  A
-         maintained count is exact whatever [method] asked for.  The
-         request that builds the state still evaluates normally, so its
-         response carries real step counts and feeds drift tracking. *)
-      let built_now = ref false in
-      let maint =
-        if t.cfg.cache_capacity > 0 then begin
-          (match entry.Cache.maint with
-          | Some _ -> ()
-          | None ->
-              built_now := true;
-              let budget =
-                Budget.make
-                  ?max_steps:(cap_steps t max_steps)
-                  ?timeout:(cap_timeout t timeout_ms)
-                  ()
-              in
-              entry.Cache.maint <-
-                Some
-                  (Telemetry.with_span "serve.maintain" (fun () ->
-                       Delta.prepare ~budget eval_ucq t.ddb)));
-          entry.Cache.maint
-        end
-        else None
+      (* each budget is published so a forced drain can cancel it
+         cooperatively; cleared before the response is built.  The last
+         one made is the recount's, which drift tracking times. *)
+      let t0 = ref 0. in
+      let budget () =
+        let b =
+          Budget.make
+            ?max_steps:(cap_steps t max_steps)
+            ?timeout:(cap_timeout t timeout_ms)
+            ()
+        in
+        Atomic.set t.current_budget (Some b);
+        t0 := Unix.gettimeofday ();
+        b
       in
-      let tier_fields =
-        match maint with
-        | None -> []
-        | Some st ->
-            [
-              ( "tier",
-                Trace_json.Str (Tier.to_string (Delta.effective_tier st)) );
-              ("epoch", num (Delta.epoch t.ddb));
-            ]
+      let o =
+        Fun.protect
+          ~finally:(fun () -> Atomic.set t.current_budget None)
+          (fun () ->
+            Session.count t.session ~via:(runner_method meth)
+              ~fallback:(not no_fallback) ~seed ~budget entry)
       in
-      match
-        if !built_now then None
-        else Option.bind maint (fun st -> Delta.maintained_count st t.ddb)
-      with
-      | Some (n, src) ->
+      let steps_field = ("steps", num o.Session.steps) in
+      if o.Session.source = Session.Computed then begin
+        Telemetry.observe h_count_steps (float_of_int o.Session.steps);
+        if obs_on t then
+          note_drift t ~rid ~query ~entry ~observed:o.Session.steps
+            ~elapsed_ms:((Unix.gettimeofday () -. !t0) *. 1000.)
+            ~degradation:
+              (match o.Session.result with
+              | Ok (Runner.Exact _) -> "exact"
+              | Ok (Runner.Approximate _) -> "karp-luby"
+              | Error _ -> "error")
+      end;
+      match o.Session.result with
+      | Ok (Runner.Exact n) ->
           let source =
-            match src with
-            | Delta.Maintained -> "maintained"
-            | Delta.Memoized -> "memoized"
+            match o.Session.source with
+            | Session.Maintained -> "maintained"
+            | Session.Memoized -> "memoized"
+            | Session.Computed -> "computed"
+          in
+          let tier_fields =
+            match o.Session.tier with
+            | None -> []
+            | Some tier ->
+                [
+                  ("tier", Trace_json.Str (Tier.to_string tier));
+                  ("epoch", num o.Session.epoch);
+                ]
           in
           Protocol.make_response ?id Protocol.Ok_
             [
@@ -646,60 +551,6 @@ let answer_count (t : t) (cache : Cache.t) ?id ~rid ~query ~meth ~seed
                      ("count", num n);
                      ("exact", Trace_json.Bool true);
                      ("source", Trace_json.Str source);
-                   ]
-                  @ tier_fields) );
-              cache_field;
-              ("steps", num 0);
-            ]
-      | None ->
-      let budget =
-        Budget.make
-          ?max_steps:(cap_steps t max_steps)
-          ?timeout:(cap_timeout t timeout_ms)
-          ()
-      in
-      (* Published so a forced drain can cancel this request
-         cooperatively; cleared before the response is built. *)
-      Atomic.set t.current_budget (Some budget);
-      let eval_t0 = Unix.gettimeofday () in
-      let result =
-        Fun.protect
-          ~finally:(fun () -> Atomic.set t.current_budget None)
-          (fun () ->
-            Telemetry.with_span "serve.eval" ~budget (fun () ->
-                Runner.count ~via:(runner_method meth)
-                  ~fallback:(not no_fallback) ~seed ~pool:t.pool ~budget
-                  eval_ucq (Delta.structure t.ddb)))
-      in
-      let observed = Budget.steps_done budget in
-      let steps_field = ("steps", num observed) in
-      Telemetry.observe h_count_steps (float_of_int observed);
-      if obs_on t then begin
-        let degradation =
-          match result with
-          | Ok (Runner.Exact _) -> "exact"
-          | Ok (Runner.Approximate _) -> "karp-luby"
-          | Error _ -> "error"
-        in
-        note_drift t ~rid ~query ~entry ~observed
-          ~elapsed_ms:((Unix.gettimeofday () -. eval_t0) *. 1000.)
-          ~degradation
-      end;
-      (match result with
-      | Ok (Runner.Exact n) ->
-          (* exact recomputes are memoized at the current epoch; anything
-             approximate or failed must not be *)
-          (match maint with
-          | Some st -> Delta.memoize st t.ddb n
-          | None -> ());
-          Protocol.make_response ?id Protocol.Ok_
-            [
-              ( "result",
-                Trace_json.Obj
-                  ([
-                     ("count", num n);
-                     ("exact", Trace_json.Bool true);
-                     ("source", Trace_json.Str "computed");
                    ]
                   @ tier_fields) );
               cache_field;
@@ -732,7 +583,7 @@ let answer_count (t : t) (cache : Cache.t) ?id ~rid ~query ~meth ~seed
           {
             r with
             Protocol.body = r.Protocol.body @ [ cache_field; steps_field ];
-          }))
+          })
 
 let classify_json (r : Classify.report) : Trace_json.t =
   Trace_json.Obj
@@ -748,9 +599,8 @@ let classify_json (r : Classify.report) : Trace_json.t =
       ("num_disjuncts", num r.Classify.num_disjuncts);
     ]
 
-let answer_classify (t : t) (cache : Cache.t) ?id ~query () :
-    Protocol.response =
-  let outcome = prepare t cache query in
+let answer_classify (t : t) ?id ~query () : Protocol.response =
+  let outcome = prepare t query in
   let cache_field = ("cache", Trace_json.Str (Cache.outcome_label outcome)) in
   match outcome with
   | Cache.Invalid err ->
@@ -779,8 +629,8 @@ let answer_classify (t : t) (cache : Cache.t) ?id ~query () :
           | None ->
               let r =
                 Telemetry.with_span "serve.analysis" (fun () ->
-                    Classify.analyze ~with_gamma:false ~pool:t.pool
-                      entry.Cache.ucq)
+                    Classify.analyze ~with_gamma:false
+                      ~pool:(Session.pool t.session) entry.Cache.ucq)
               in
               entry.Cache.classify <- Some r;
               r
@@ -788,7 +638,9 @@ let answer_classify (t : t) (cache : Cache.t) ?id ~query () :
         (* the maintenance tier rides along: the same selection the
            watch/serve update engines use (gated like UCQ207), computed
            on the optimized query — the one actually maintained *)
-        let sel = Tier.select (entry_optimized t entry).Optimize.optimized in
+        let sel =
+          Tier.select (Session.optimized t.session entry).Optimize.optimized
+        in
         let result =
           match classify_json report with
           | Trace_json.Obj fs ->
@@ -808,8 +660,8 @@ let answer_classify (t : t) (cache : Cache.t) ?id ~query () :
         Protocol.make_response ?id Protocol.Ok_
           [ ("result", result); cache_field ]
 
-let answer_check (t : t) (cache : Cache.t) ?id ~query () : Protocol.response =
-  let outcome = prepare t cache query in
+let answer_check (t : t) ?id ~query () : Protocol.response =
+  let outcome = prepare t query in
   let cache_field = ("cache", Trace_json.Str (Cache.outcome_label outcome)) in
   (* [Analysis.check] is total (parse failures become diagnostics) and
      budgeted internally, so even an Invalid outcome gets a report.  The
@@ -857,103 +709,52 @@ let answer_check (t : t) (cache : Cache.t) ?id ~query () : Protocol.response =
 (* Mutations (evaluator thread: the single-writer ordering point)     *)
 (* ------------------------------------------------------------------ *)
 
-(* Fold one accepted change into every maintained state.  One budget
-   per receipt, shared across states: a fold that exhausts it degrades
-   its state to tier C (recorded reason, never a wrong count) — the
-   same degradation-not-wrongness contract as [ucqc watch]. *)
-let fold_receipt (t : t) (cache : Cache.t) (r : Delta.applied) : unit =
-  if r.Delta.changed then begin
-    bump t.stats.updates_applied c_updates_applied;
-    let budget =
-      Budget.make ?max_steps:t.cfg.max_steps_cap
-        ?timeout:t.cfg.request_timeout_s ()
-    in
-    Cache.iter cache (fun e ->
-        match e.Cache.maint with
-        | Some st -> Delta.apply_state ~budget st t.ddb r
-        | None -> ())
-  end
-  else bump t.stats.updates_noop c_updates_noop;
-  Telemetry.set_gauge g_db_epoch (float_of_int (Delta.epoch t.ddb))
-
-let update_result (r : Delta.applied) : Trace_json.t =
-  Trace_json.Obj
-    [
-      ("applied", Trace_json.Bool r.Delta.changed);
-      ("noop", Trace_json.Bool (not r.Delta.changed));
-      ("epoch", num r.Delta.epoch);
-    ]
-
-let answer_mutation (t : t) (cache : Cache.t) ?id
-    ~(sign : Delta_parse.sign) ~(fact : string) () : Protocol.response =
-  let result =
-    match Delta_parse.fact_string ~sign fact with
-    | Error e -> Error e
-    | Ok spec -> (
-        match Delta.resolve t.ddb spec with
-        | Error e -> Error e
-        | Ok u -> Delta.apply t.ddb u)
+(* [insert]/[delete] answer with booleans, [apply] with counts; a fold
+   that exhausts its budget degrades that state, never the response *)
+let answer_update (t : t) ?id ~(single : bool)
+    (deltas : (Delta_parse.spec, Ucqc_error.t) result list) :
+    Protocol.response =
+  let budget () =
+    Budget.make ?max_steps:t.cfg.max_steps_cap
+      ?timeout:t.cfg.request_timeout_s ()
   in
-  match result with
+  match Session.apply t.session ~budget deltas with
   | Error e -> Protocol.of_ucqc_error ?id e
-  | Ok r ->
-      fold_receipt t cache r;
-      Protocol.make_response ?id Protocol.Ok_ [ ("result", update_result r) ]
-
-let answer_apply_batch (t : t) (cache : Cache.t) ?id
-    ~(deltas : string list) () : Protocol.response =
-  (* resolve (and thereby validate) the whole batch before touching the
-     database, so a rejected batch leaves no partial effects.  The
-     universe and signature are fixed, so updates resolved against the
-     pre-batch session cannot become invalid mid-batch. *)
-  let rec resolve_all acc i = function
-    | [] -> Ok (List.rev acc)
-    | d :: rest -> (
-        match Delta_parse.delta_string ~lineno:(i + 1) d with
-        | Error e -> Error e
-        | Ok spec -> (
-            match Delta.resolve t.ddb spec with
-            | Error e -> Error e
-            | Ok u -> resolve_all (u :: acc) (i + 1) rest))
-  in
-  match resolve_all [] 0 deltas with
-  | Error e -> Protocol.of_ucqc_error ?id e
-  | Ok updates ->
-      let applied = ref 0 and noop = ref 0 in
-      List.iter
-        (fun u ->
-          match Delta.apply t.ddb u with
-          | Ok r ->
-              if r.Delta.changed then incr applied else incr noop;
-              fold_receipt t cache r
-          | Error _ -> () (* unreachable: resolved above, single writer *))
-        updates;
+  | Ok b ->
+      ignore (Atomic.fetch_and_add t.stats.updates_applied b.Session.applied);
+      ignore (Atomic.fetch_and_add t.stats.updates_noop b.Session.noop);
+      let count n = if single then Trace_json.Bool (n > 0) else num n in
       Protocol.make_response ?id Protocol.Ok_
         [
           ( "result",
             Trace_json.Obj
               [
-                ("applied", num !applied);
-                ("noop", num !noop);
-                ("epoch", num (Delta.epoch t.ddb));
+                ("applied", count b.Session.applied);
+                ("noop", count b.Session.noop);
+                ("epoch", num b.Session.epoch);
               ] );
         ]
 
-let answer (t : t) (cache : Cache.t) (w : work) : Protocol.response =
+let answer (t : t) (w : work) : Protocol.response =
   match w.wop with
   | Protocol.Ping -> pong t ?id:w.wid ()  (* unreachable: answered inline *)
   | Protocol.Stats -> stats_response t ?id:w.wid ()
   | Protocol.Count { query; meth; seed; max_steps; timeout_ms; no_fallback } ->
-      answer_count t cache ?id:w.wid ~rid:w.wrid ~query ~meth ~seed ~max_steps
+      answer_count t ?id:w.wid ~rid:w.wrid ~query ~meth ~seed ~max_steps
         ~timeout_ms ~no_fallback ()
-  | Protocol.Classify { query } ->
-      answer_classify t cache ?id:w.wid ~query ()
-  | Protocol.Check { query } -> answer_check t cache ?id:w.wid ~query ()
+  | Protocol.Classify { query } -> answer_classify t ?id:w.wid ~query ()
+  | Protocol.Check { query } -> answer_check t ?id:w.wid ~query ()
   | Protocol.Insert { fact } ->
-      answer_mutation t cache ?id:w.wid ~sign:Delta_parse.Insert ~fact ()
+      answer_update t ?id:w.wid ~single:true
+        [ Delta_parse.fact_string ~sign:Delta_parse.Insert fact ]
   | Protocol.Delete { fact } ->
-      answer_mutation t cache ?id:w.wid ~sign:Delta_parse.Delete ~fact ()
-  | Protocol.Apply { deltas } -> answer_apply_batch t cache ?id:w.wid ~deltas ()
+      answer_update t ?id:w.wid ~single:true
+        [ Delta_parse.fact_string ~sign:Delta_parse.Delete fact ]
+  | Protocol.Apply { deltas } ->
+      answer_update t ?id:w.wid ~single:false
+        (List.mapi
+           (fun i d -> Delta_parse.delta_string ~lineno:(i + 1) d)
+           deltas)
 
 (* One JSON line per evaluated request — written only by the evaluator
    thread, so lines never interleave. *)
@@ -975,7 +776,7 @@ let access_line (w : work) (resp : Protocol.response) ~(elapsed_ms : float)
 
 (* Per-request isolation boundary: nothing thrown while answering one
    request may reach the evaluator loop. *)
-let process (t : t) (cache : Cache.t) (w : work) : unit =
+let process (t : t) (w : work) : unit =
   let t0 = Unix.gettimeofday () in
   let queue_ms = (t0 -. w.enqueued_at) *. 1000. in
   let resp =
@@ -986,7 +787,7 @@ let process (t : t) (cache : Cache.t) (w : work) : unit =
             ("op", Telemetry.S (op_label w.wop));
             ("request_id", Telemetry.S w.wrid);
           ])
-        (fun () -> answer t cache w)
+        (fun () -> answer t w)
     with e ->
       Protocol.error_response ?id:w.wid ~kind:"internal" ~code:70
         (Printf.sprintf "request failed: %s" (Printexc.to_string e))
@@ -1024,7 +825,8 @@ let process (t : t) (cache : Cache.t) (w : work) : unit =
   send w.wconn resp;
   release t w.wconn
 
-let publish_snapshot (t : t) (cache : Cache.t) : unit =
+let publish_snapshot (t : t) : unit =
+  let cache = Session.cache t.session and ddb = Session.db t.session in
   let a = ref 0 and b = ref 0 and c = ref 0 in
   Cache.iter cache (fun e ->
       match e.Cache.maint with
@@ -1040,22 +842,21 @@ let publish_snapshot (t : t) (cache : Cache.t) : unit =
       es_pool_idle = Pool.idle_count ();
       es_cache_entries = Cache.entries cache;
       es_cache_invalids = Cache.invalids cache;
-      es_db_epoch = Delta.epoch t.ddb;
-      es_db_tuples = Structure.num_tuples (Delta.structure t.ddb);
+      es_db_epoch = Delta.epoch ddb;
+      es_db_tuples = Structure.num_tuples (Delta.structure ddb);
       es_maint_a = !a;
       es_maint_b = !b;
       es_maint_c = !c;
     }
 
 let evaluator_loop (t : t) : unit =
-  let cache = Cache.create ~capacity:t.cfg.cache_capacity () in
-  publish_snapshot t cache;
+  publish_snapshot t;
   let rec loop () =
     match Admission.take t.queue with
     | None -> ()
     | Some w ->
-        process t cache w;
-        publish_snapshot t cache;
+        process t w;
+        publish_snapshot t;
         loop ()
   in
   (try loop () with _ -> ());
@@ -1426,10 +1227,11 @@ let start ?env (cfg : config) ~(db : Structure.t) : t =
   let t =
     {
       cfg;
-      ddb = Delta.open_db ?env db;
-      db_elems = Structure.universe_size db;
-      db_tuples = Structure.num_tuples db;
-      pool = Pool.create ~jobs:cfg.jobs ();
+      session =
+        Session.create ?env ~optimize:cfg.optimize
+          ~capacity:cfg.cache_capacity
+          ~pool:(Pool.create ~jobs:cfg.jobs ())
+          db;
       listen_fd;
       queue = Admission.create ~depth:cfg.queue_depth ();
       stats = make_stats ();

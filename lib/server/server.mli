@@ -1,7 +1,7 @@
 (** The [ucqc serve] daemon: a fault-tolerant long-running query service.
 
     Loads one [.facts] database and answers {!Protocol} requests over a
-    Unix or TCP socket.  The database is a {!Delta.db} session: the
+    Unix or TCP socket.  The database lives in a {!Session}: the
     universe and signature are fixed at load time, but tuples change
     through the [insert]/[delete]/[apply] mutation ops, each accepted
     change advancing a monotonically increasing {e epoch}.  Mutations
@@ -16,9 +16,10 @@
     - one {b connection thread} per client does framing, request
       parsing, inline [ping]/[stats] answers, and admission — it never
       evaluates a query and never records telemetry spans;
-    - a single {b evaluator thread} owns the prepared-query {!Cache}
-      and retires queued requests one at a time, fanning each one out on
-      the domain {!Pool} ([--jobs]).  Being the only span-recording
+    - a single {b evaluator thread} owns the {!Session} (with its
+      prepared-query {!Cache}) and retires queued requests one at a
+      time, fanning each one out on the domain {!Pool} ([--jobs]).
+      Being the only span-recording
       thread in the main domain keeps the telemetry buffers race-free —
       the same single-writer discipline {!Pool} imposes on its workers.
 

@@ -406,18 +406,45 @@ let test_server_metrics_endpoint () =
                 (n >= 1.)
           | _ -> Alcotest.fail "stats lacks slow_queries")
       | None -> Alcotest.fail "stats response has no result");
+      (* every scrape validates; the session's families are the only
+         update counters, and the epoch is exported once *)
+      let scrape () =
+        let status, body = http_get mport "/metrics" in
+        Alcotest.(check int) "metrics is 200" 200 status;
+        (match Prometheus.validate body with
+        | Ok _ -> ()
+        | Error msg -> Alcotest.fail ("exposition invalid: " ^ msg));
+        let samples =
+          match Prometheus.parse body with
+          | Ok s -> s
+          | Error msg -> Alcotest.fail ("exposition unparseable: " ^ msg)
+        in
+        Alcotest.(check (option (float 0.))) "no serve.db.epoch family" None
+          (Prometheus.find samples "ucqc_serve_db_epoch");
+        samples
+      in
+      let applied samples =
+        match Prometheus.find samples "ucqc_session_updates_applied_total" with
+        | Some v -> v
+        | None -> Alcotest.fail "session update counter missing"
+      in
+      let applied_before = applied (scrape ()) in
+      send {|{"op": "insert", "fact": "E(4, 0)", "id": 4}|};
+      send "\n";
+      ignore (recv_line () : string);
+      (* the evaluator publishes its snapshot after each response: one
+         more evaluated request makes the insert's visible *)
+      send {|{"op": "count", "query": "(x, y) :- E(x, y)", "id": 5}|};
+      send "\n";
+      ignore (recv_line () : string);
       Unix.close fd;
       (* the exposition validates and reflects the traffic *)
-      let status, body = http_get mport "/metrics" in
-      Alcotest.(check int) "metrics is 200" 200 status;
-      (match Prometheus.validate body with
-      | Ok _ -> ()
-      | Error msg -> Alcotest.fail ("exposition invalid: " ^ msg));
-      let samples =
-        match Prometheus.parse body with
-        | Ok s -> s
-        | Error msg -> Alcotest.fail ("exposition unparseable: " ^ msg)
-      in
+      let samples = scrape () in
+      (* telemetry counters are process-wide across the suites: deltas *)
+      Alcotest.(check (float 0.)) "one applied update" 1.
+        (applied samples -. applied_before);
+      Alcotest.(check (option (float 0.))) "epoch after one insert" (Some 1.)
+        (Prometheus.find samples "ucqc_db_epoch");
       (match Prometheus.find samples "ucqc_serve_requests_count_total" with
       | Some n -> Alcotest.(check bool) "count requests counted" true (n >= 2.)
       | None -> Alcotest.fail "request counter missing");

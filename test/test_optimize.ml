@@ -288,6 +288,49 @@ let qcheck_drops_are_dead =
           Ucq.count_naive without db = Ucq.count_naive psi db)
         dropped)
 
+(* ------------------------------------------------------------------ *)
+(* check --optimize: UCQ405                                           *)
+(* ------------------------------------------------------------------ *)
+
+let codes (r : Analysis.report) =
+  List.map (fun d -> d.Diagnostic.code) r.Analysis.diagnostics
+
+let tier_change text =
+  let r = Analysis.check text in
+  (r, Optimize.with_tier_change r (parse_ucq text))
+
+let test_ucq405_fires () =
+  (* the subsumed disjunct keeps the union from being q-hierarchical *)
+  let r, r' = tier_change "(x) :- R(x), S(x, y) ; R(x), S(x, y), E(y, z)" in
+  Alcotest.(check bool) "absent as written" false (List.mem "UCQ405" (codes r));
+  match
+    List.filter (fun d -> d.Diagnostic.code = "UCQ405") r'.Analysis.diagnostics
+  with
+  | [ d ] ->
+      Alcotest.(check string) "names both tiers"
+        "maintenance tier changes under --optimize: tier B as written, tier \
+         A after the count-preserving rewrite (exhaustively q-hierarchical: \
+         every combined query admits constant-time maintenance)"
+        d.Diagnostic.message;
+      Alcotest.(check (list string)) "every other finding kept"
+        (List.sort compare ("UCQ405" :: codes r))
+        (List.sort compare (codes r'))
+  | _ -> Alcotest.fail "expected exactly one UCQ405"
+
+let test_ucq405_unchanged_query () =
+  let r, r' = tier_change "(x, y) :- E(x, z), E(z, y)" in
+  Alcotest.(check (list string)) "minimal query: report unchanged" (codes r)
+    (codes r')
+
+let test_ucq405_same_tier () =
+  (* the #core drops E(x, w), but both spellings are tier B *)
+  let text = "(x, y) :- E(x, z), E(z, y), E(x, w)" in
+  Alcotest.(check bool) "the rewrite changes the query" true
+    (Optimize.run (parse_ucq text)).Optimize.changed;
+  let r, r' = tier_change text in
+  Alcotest.(check (list string)) "same tier: report unchanged" (codes r)
+    (codes r')
+
 let qcheck =
   [
     qcheck_count_preserved;
@@ -319,6 +362,12 @@ let suite =
         Alcotest.test_case "SARIF fixes validate" `Quick test_sarif_fixes;
         Alcotest.test_case "Runner --optimize equivalence" `Quick
           test_runner_optimize;
+        Alcotest.test_case "UCQ405 fires on a tier change" `Quick
+          test_ucq405_fires;
+        Alcotest.test_case "UCQ405 silent without a rewrite" `Quick
+          test_ucq405_unchanged_query;
+        Alcotest.test_case "UCQ405 silent when the tier holds" `Quick
+          test_ucq405_same_tier;
       ]
       @ List.map QCheck_alcotest.to_alcotest qcheck );
   ]

@@ -235,11 +235,7 @@ let test_cache_hits () =
   (* parse failures are cached too: the second lookup skips the parse *)
   Alcotest.(check string) "invalid" "invalid" (label c "(x :- garbage(");
   Alcotest.(check string) "invalid cached" "invalid" (label c "(x :- garbage(");
-  Alcotest.(check int) "one cached failure" 1 (Cache.invalids c);
-  (* the find/admit split: find is the no-parse path *)
-  Alcotest.(check bool) "find knows the text" true (Cache.find c q <> None);
-  Alcotest.(check bool) "find misses new text" true
-    (Cache.find c "(u) :- E(u, u)" = None)
+  Alcotest.(check int) "one cached failure" 1 (Cache.invalids c)
 
 let test_cache_eviction () =
   let c = Cache.create ~capacity:2 () in
