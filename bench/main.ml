@@ -1066,11 +1066,131 @@ let expansion_json () =
   close_out oc;
   prerr_endline "wrote BENCH_expansion.json"
 
+(* ================================================================== *)
+(* E21: --json — per-term engine cost (BENCH_engine.json)             *)
+(* ================================================================== *)
+
+(* The count_skewed_graph database of perfbench (perfbench/gen.ml),
+   rebuilt here because bench/ cannot link the harness: [m] distinct
+   non-loop edges between Zipf-distributed (alpha = 1) source and target
+   ranks, targets shifted by [n / 16] ranks, R holding one rank in five,
+   and the ranks relabelled by the seed. *)
+let zipf_digraph ~(seed : int) (n : int) (m : int) : Structure.t =
+  let rng salt = Random.State.make [| seed; salt |] in
+  let st = Random.State.make [| 0; 1 |] in
+  let cdf = Array.make n 0. in
+  let acc = ref 0. in
+  for i = 0 to n - 1 do
+    acc := !acc +. (1. /. float_of_int (i + 1));
+    cdf.(i) <- !acc
+  done;
+  let cdf = Array.map (fun x -> x /. !acc) cdf in
+  let draw () =
+    let u = Random.State.float st 1. in
+    let lo = ref 0 and hi = ref (n - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if cdf.(mid) < u then lo := mid + 1 else hi := mid
+    done;
+    !lo
+  in
+  let seen = Hashtbl.create (2 * m) in
+  let edges = ref [] and k = ref 0 in
+  while !k < m do
+    let u = draw () in
+    let v = (draw () + (n / 16)) mod n in
+    if u <> v && not (Hashtbl.mem seen (u, v)) then begin
+      Hashtbl.add seen (u, v) ();
+      edges := (u, v) :: !edges;
+      incr k
+    end
+  done;
+  let rst = Random.State.make [| 0; 2 |] in
+  let r = List.filter (fun _ -> Random.State.int rst 5 = 0) (List.init n Fun.id) in
+  let label = Array.init n Fun.id in
+  let lst = rng 7 in
+  for i = n - 1 downto 1 do
+    let j = Random.State.int lst (i + 1) in
+    let t = label.(i) in
+    label.(i) <- label.(j);
+    label.(j) <- t
+  done;
+  Structure.make
+    (Signature.make [ Signature.symbol "E" 2; Signature.symbol "R" 1 ])
+    (List.init n Fun.id)
+    [
+      ("E", List.rev_map (fun (u, v) -> [ label.(u); label.(v) ]) !edges);
+      ("R", List.map (fun x -> [ label.(x) ]) r);
+    ]
+
+(** The E21 table: every support term of the five count_skewed_graph
+    shapes, counted by [Counting.count] (automatic strategy) on the
+    5000-node, 17000-edge Zipf database of seed 1.  Per term: the count,
+    the budget steps, the words allocated ([Gc.allocated_bytes] / 8) —
+    all deterministic — and the median wall time of three runs.
+    [tools/bench_check.exe] holds counts and steps to
+    [bench/engine_baseline.json] and allocation to a quarter of it. *)
+let engine_json () =
+  let db = zipf_digraph ~seed:1 5000 17000 in
+  let shapes =
+    [
+      "(x, y, z) :- E(x, y), E(y, z)";
+      "(x, y, z) :- E(x, y), E(y, z), E(z, x)";
+      "(x, z) :- E(x, y), E(y, z)";
+      "(x, y, z) :- R(x), E(x, y), E(x, z)";
+      "(x, y) :- E(x, y) ; E(x, z), E(z, y)";
+    ]
+  in
+  let engine q =
+    if not (Cq.is_quantifier_free q) then "varelim"
+    else if Cq.is_acyclic q then "yannakakis"
+    else "weighted"
+  in
+  let rows =
+    List.concat_map
+      (fun shape ->
+        List.map
+          (fun (t : Ucq.expansion_term) ->
+            let q = t.Ucq.representative in
+            let budget = Budget.unlimited () in
+            let before = Gc.allocated_bytes () in
+            let count = Counting.count ~budget q db in
+            let words = (Gc.allocated_bytes () -. before) /. 8. in
+            let wall = wall_time ~reps:3 (fun () -> Counting.count q db) in
+            Printf.printf "E21 %-44s %-10s count=%d steps=%d words=%.0f wall=%.1f ms\n%!"
+              (Pretty.cq q) (engine q) count (Budget.steps_done budget) words
+              (1000. *. wall);
+            Printf.sprintf
+              "    {\"shape\": %S, \"term\": %S, \"engine\": %S, \"count\": %d, \
+               \"steps\": %d, \"words\": %.0f, \"wall_ms\": %.3f}"
+              shape (Pretty.cq q) (engine q) count (Budget.steps_done budget) words
+              (1000. *. wall))
+          (Ucq.support (fst (Parse.ucq shape))))
+      shapes
+  in
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf "{\n  \"kind\": \"engine\",\n";
+  Buffer.add_string buf
+    (Printf.sprintf "  \"git_commit\": %S,\n" (Buildid.git_commit ()));
+  Buffer.add_string buf
+    (Printf.sprintf
+       "  \"database\": {\"nodes\": 5000, \"edges\": 17000, \"seed\": 1, \
+        \"tuples\": %d},\n"
+       (Structure.num_tuples db));
+  Buffer.add_string buf "  \"terms\": [\n";
+  Buffer.add_string buf (String.concat ",\n" rows);
+  Buffer.add_string buf "\n  ]\n}\n";
+  let oc = open_out "BENCH_engine.json" in
+  output_string oc (Buffer.contents buf);
+  close_out oc;
+  prerr_endline "wrote BENCH_engine.json"
+
 let () =
   if Array.exists (( = ) "--json") Sys.argv then begin
     parallel_json ();
     optimize_json ();
     expansion_json ();
+    engine_json ();
     exit 0
   end;
   Printf.printf "ucqc benchmark harness — regenerating the paper's artefacts\n";

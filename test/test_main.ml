@@ -9,4 +9,4 @@ let () =
    @ Test_frontend.suite @ Test_approx.suite @ Test_dynamic.suite
    @ Test_runtime.suite @ Test_pool.suite @ Test_telemetry.suite
    @ Test_delta.suite @ Test_analysis.suite @ Test_optimize.suite
-   @ Test_session.suite @ Test_server.suite @ Test_obs.suite)
+   @ Test_session.suite @ Test_server.suite @ Test_obs.suite @ Test_engine.suite)
