@@ -89,10 +89,10 @@ module Struct_iso = Struct_iso
 module Hom = Hom
 module Semiring = Semiring
 module Jointree_count = Jointree_count
-module Nice_count = Nice_count
 module Treedec_count = Treedec_count
 module Relation = Relation
 module Varelim = Varelim
+module Elim = Elim
 module Counting = Counting
 module Enumerate = Enumerate
 module Generators = Generators

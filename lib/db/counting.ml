@@ -2,15 +2,14 @@
 
     - [Naive] iterates all assignments of the free variables and tests
       extendability with the backtracking engine — the reference oracle.
-    - [Yannakakis] is the linear-time join-tree counter for acyclic
-      quantifier-free queries (Theorems 4/37).
     - [Treedec] is the [n^{tw+1}] dynamic program for quantifier-free
       queries of bounded treewidth (tractable side of Theorem 21).
-    - [Weighted] is sum-product variable elimination over weighted
-      relations — the sparsity-aware counter for cyclic quantifier-free
-      queries (used by [Auto] in that regime).
-    - [Varelim] handles existential quantification by materialising the
-      projected answer set.
+    - Every other strategy runs the one elimination engine {!Elim} in
+      the order the strategy names: [Yannakakis] its linear-time GYO
+      order for acyclic quantifier-free queries (Theorems 4/37),
+      [Weighted] sum-product elimination for quantifier-free queries,
+      [Varelim] existential projection of the quantified variables
+      for any query.
     - [Auto] picks the cheapest sound strategy for the query shape. *)
 
 type strategy = Auto | Naive | Yannakakis | Treedec | Weighted | Varelim
@@ -29,7 +28,7 @@ let varelim_c = Telemetry.counter "count.varelim"
 (** [count ?strategy ?budget ?pool q d] is [ans((A, X) → D)].  The budget
     is threaded into the engines with super-linear worst cases ([Naive]
     assignment enumeration, the variable-elimination joins); the
-    linear-time join-tree counter only re-checks the limits on entry.
+    linear-time acyclic order only re-checks the limits on entry.
     [Naive] enumerates the [|D|^|X|] assignments lazily (never
     materialising the product) and, given a parallel pool, sweeps index
     ranges of the assignment space on the worker domains.
@@ -39,6 +38,16 @@ let count ?(strategy = Auto) ?(budget : Budget.t option)
     ?(pool : Pool.t option) (q : Cq.t) (d : Structure.t) : int =
   Budget.check_opt budget;
   let quantifier_free = Cq.is_quantifier_free q in
+  let require ok msg = if not ok then raise (Unsupported msg) in
+  (* a term naming a relation the database lacks counts 0 in any order *)
+  let acyclic () =
+    Cq.is_acyclic q
+    || not (Signature.subset (Structure.signature (Cq.structure q)) (Structure.signature d))
+  in
+  let elim c order =
+    Telemetry.incr c;
+    Elim.count ?budget order q d
+  in
   match strategy with
   | Naive ->
       Telemetry.incr naive_c;
@@ -58,42 +67,22 @@ let count ?(strategy = Auto) ?(budget : Budget.t option)
         Pool.count_range (Option.get pool) ?budget
           ~total:(Combinat.num_tuples k dom)
           (fun idx -> is_answer (Combinat.tuple_of_index k dom idx))
-  | Yannakakis -> begin
-      if not quantifier_free then
-        raise (Unsupported "Yannakakis counting requires a quantifier-free query");
-      match Jointree_count.count (Cq.structure q) d with
-      | Some c ->
-          Telemetry.incr yannakakis_c;
-          c
-      | None -> raise (Unsupported "Yannakakis counting requires an acyclic query")
-    end
+  | Yannakakis ->
+      require quantifier_free "Yannakakis counting requires a quantifier-free query";
+      require (acyclic ()) "Yannakakis counting requires an acyclic query";
+      elim yannakakis_c Elim.Acyclic
   | Treedec ->
-      if not quantifier_free then
-        raise (Unsupported "Treedec counting requires a quantifier-free query");
+      require quantifier_free "Treedec counting requires a quantifier-free query";
       Telemetry.incr treedec_c;
       Treedec_count.count (Cq.structure q) d
   | Weighted ->
-      if not quantifier_free then
-        raise (Unsupported "Weighted counting requires a quantifier-free query");
-      Telemetry.incr weighted_c;
-      Wvarelim.count_homs ?budget (Cq.structure q) d
-  | Varelim ->
-      Telemetry.incr varelim_c;
-      Varelim.count ?budget q d
+      require quantifier_free "Weighted counting requires a quantifier-free query";
+      elim weighted_c Elim.Summing
+  | Varelim -> elim varelim_c Elim.Projecting
   | Auto ->
-      if quantifier_free then begin
-        match Jointree_count.count (Cq.structure q) d with
-        | Some c ->
-            Telemetry.incr yannakakis_c;
-            c
-        | None ->
-            Telemetry.incr weighted_c;
-            Wvarelim.count_homs ?budget (Cq.structure q) d
-      end
-      else begin
-        Telemetry.incr varelim_c;
-        Varelim.count ?budget q d
-      end
+      if not quantifier_free then elim varelim_c Elim.Projecting
+      else if acyclic () then elim yannakakis_c Elim.Acyclic
+      else elim weighted_c Elim.Summing
 
 (** [count_big q d] is [ans((A, X) → D)] with exact arbitrary-precision
     arithmetic (same automatic dispatch as [count ~strategy:Auto]). *)

@@ -66,25 +66,17 @@ let answer_relation ?(budget : Budget.t option) (q : Cq.t) (d : Structure.t) :
     end
   end
 
-(** [count ?budget q d] is [ans((A, X) → D)]. *)
-let count ?(budget : Budget.t option) (q : Cq.t) (d : Structure.t) : int =
-  let n = Structure.universe_size d in
-  if n = 0 then begin
-    (* No assignments exist unless X = ∅; the empty assignment is an answer
-       iff the (necessarily atom- and variable-free) query is satisfied. *)
-    if Cq.free q = [] && Hom.exists ?budget (Cq.structure q) d then 1 else 0
-  end
-  else begin
-    let answers, missing = answer_relation ?budget q d in
-    Relation.cardinality answers * Combinat.power_int n missing
-  end
+(* Over the empty universe no assignment exists unless X = ∅, and the
+   empty assignment is an answer iff the query is satisfied. *)
+let empty_universe_answer (q : Cq.t) (d : Structure.t) : bool =
+  Cq.free q = [] && Hom.exists (Cq.structure q) d
 
 (** [answers q d] enumerates the full answer set over the sorted free
     variables (materialising the cartesian expansion of uncovered
     variables).  Intended for tests and small examples. *)
 let answers (q : Cq.t) (d : Structure.t) : int list list =
   let n = Structure.universe_size d in
-  if n = 0 then if count q d = 1 then [ [] ] else []
+  if n = 0 then if empty_universe_answer q d then [ [] ] else []
   else begin
     let rel, _ = answer_relation q d in
     let covered = rel.Relation.vars in
@@ -104,12 +96,13 @@ let answers (q : Cq.t) (d : Structure.t) : int list list =
     |> List.sort_uniq compare
   end
 
-(** [count_big q d] is the exact arbitrary-precision variant of {!count}
-    (the materialised relation is still bounded by memory, but the isolated
-    free-variable factor [n^missing] may exceed native range). *)
+(** [count_big q d] is [ans((A, X) → D)] in exact arbitrary precision, by
+    materialising the answer relation: the independent oracle for the
+    projecting order of {!Elim} (the isolated free-variable factor
+    [n^missing] may exceed native range). *)
 let count_big (q : Cq.t) (d : Structure.t) : Bigint.t =
   let n = Structure.universe_size d in
-  if n = 0 then Bigint.of_int (count q d)
+  if n = 0 then (if empty_universe_answer q d then Bigint.one else Bigint.zero)
   else begin
     let answers, missing = answer_relation q d in
     Bigint.mul

@@ -8,10 +8,9 @@
     charged proportionally to each joined intermediate. *)
 val answer_relation : ?budget:Budget.t -> Cq.t -> Structure.t -> Relation.t * int
 
-(** [count ?budget q d] is [ans((A, X) → D)]. *)
-val count : ?budget:Budget.t -> Cq.t -> Structure.t -> int
-
-(** [count_big q d] is the exact arbitrary-precision variant. *)
+(** [count_big q d] is [ans((A, X) → D)] in exact arbitrary precision
+    over the materialised answer relation — the oracle the counting
+    engine ({!Elim}) is tested against. *)
 val count_big : Cq.t -> Structure.t -> Bigint.t
 
 (** [answers q d] materialises the full answer set over the sorted free

@@ -35,6 +35,7 @@ type db = {
   uset : Intset.t;
   mutable current : Structure.t;
   mutable sepoch : int;
+  mutable ntuples : int;  (** [Structure.num_tuples current] *)
 }
 
 let open_db ?(env : Parse.db_env option) (s : Structure.t) : db =
@@ -43,10 +44,12 @@ let open_db ?(env : Parse.db_env option) (s : Structure.t) : db =
     uset = Structure.universe_set s;
     current = s;
     sepoch = 0;
+    ntuples = Structure.num_tuples s;
   }
 
 let structure (d : db) : Structure.t = d.current
 let epoch (d : db) : int = d.sepoch
+let num_tuples (d : db) : int = d.ntuples
 
 let validate (d : db) (u : update) : (unit, Ucqc_error.t) result =
   let sg = Structure.signature d.current in
@@ -139,7 +142,8 @@ let apply (d : db) (u : update) : (applied, Ucqc_error.t) result =
       in
       if changed then begin
         d.current <- after;
-        d.sepoch <- d.sepoch + 1
+        d.sepoch <- d.sepoch + 1;
+        d.ntuples <- (d.ntuples + match u.op with `Insert -> 1 | `Delete -> -1)
       end;
       Ok { upd = u; changed; epoch = d.sepoch; before; after }
 
@@ -301,7 +305,7 @@ let prepare_bterm ?(budget : Budget.t option) (d : db) (sign : int) (q0 : Cq.t)
   let us = Structure.universe_size d.current in
   if us = 0 then
     (* no update can touch an empty universe: the count is frozen *)
-    { tsign = sign; tq = q0; iso_exp = 0; occs = []; n = Varelim.count ?budget q0 d.current }
+    { tsign = sign; tq = q0; iso_exp = 0; occs = []; n = Counting.count ~strategy:Counting.Varelim ?budget q0 d.current }
   else begin
     let q1 = Cq.drop_isolated_quantified q0 in
     let iso = Cq.isolated_variables q1 in
@@ -323,7 +327,7 @@ let prepare_bterm ?(budget : Budget.t option) (d : db) (sign : int) (q0 : Cq.t)
       tq = qcov;
       iso_exp = List.length iso;
       occs;
-      n = Varelim.count ?budget qcov d.current;
+      n = Counting.count ~strategy:Counting.Varelim ?budget qcov d.current;
     }
   end
 
@@ -387,7 +391,7 @@ let apply_bterm ?(budget : Budget.t option) (b : bstate) (t : bterm)
                 specialize b.prefix t.tq (List.combine xs a) d_check
               with
               | None -> false
-              | Some (qb, db_) -> Varelim.count ?budget qb db_ > 0
+              | Some (qb, db_) -> Counting.count ~strategy:Counting.Varelim ?budget qb db_ > 0
             in
             if satisfied then acc else acc + 1)
           cands 0

@@ -48,6 +48,10 @@ val open_db : ?env:Parse.db_env -> Structure.t -> db
 val structure : db -> Structure.t
 val epoch : db -> int
 
+(** [num_tuples d] is [Structure.num_tuples (structure d)], kept current
+    by {!apply} in O(1). *)
+val num_tuples : db -> int
+
 (** [resolve d spec] interns a parsed delta against the session:
     identifier constants resolve through the load-time environment,
     the relation must exist in the (fixed) signature with the right

@@ -81,14 +81,19 @@ let iter_homs ?(budget : Budget.t option) ?(fixed : (int * int) list = [])
   | None -> ()
   | Some s ->
       let n = Array.length s.elems in
-      let assignment = Array.make n (-1) in
+      (* assignedness lives apart from the values: any int, negative
+         ones included, is an element *)
+      let assignment = Array.make n 0 and assigned = Array.make n false in
       let fixed_ok = ref true in
       List.iter
         (fun (v, w) ->
           match Hashtbl.find_opt s.idx_of v with
           | None -> fixed_ok := false
           | Some i ->
-              if List.mem w s.candidates.(i) then assignment.(i) <- w
+              if List.mem w s.candidates.(i) then begin
+                assignment.(i) <- w;
+                assigned.(i) <- true
+              end
               else fixed_ok := false)
         fixed;
       if !fixed_ok then begin
@@ -96,19 +101,19 @@ let iter_homs ?(budget : Budget.t option) ?(fixed : (int * int) list = [])
            and high-degree elements) to fail early. *)
         let order =
           let fixed_idx =
-            List.filteri (fun i _ -> assignment.(i) >= 0)
+            List.filteri (fun i _ -> assigned.(i))
               (Array.to_list (Array.init n (fun i -> i)))
           in
           let score i = List.length s.atoms_of_elem.(i) in
           let rest =
-            List.filter (fun i -> assignment.(i) < 0)
+            List.filter (fun i -> not assigned.(i))
               (List.sort
                  (fun i j -> compare (score j) (score i))
                  (Array.to_list (Array.init n (fun i -> i))))
           in
           fixed_idx @ rest
         in
-        let order = Array.of_list (List.filter (fun i -> assignment.(i) < 0) order) in
+        let order = Array.of_list (List.filter (fun i -> not assigned.(i)) order) in
         let m = Array.length order in
         let continue_ = ref true in
         (* check atoms that are fully assigned and involve element i *)
@@ -116,7 +121,7 @@ let iter_homs ?(budget : Budget.t option) ?(fixed : (int * int) list = [])
           List.for_all
             (fun ai ->
               let tb, qt = s.atoms.(ai) in
-              if List.for_all (fun j -> assignment.(j) >= 0) qt then
+              if List.for_all (fun j -> assigned.(j)) qt then
                 List.mem (List.map (fun j -> assignment.(j)) qt) tb
               else true)
             s.atoms_of_elem.(i)
@@ -125,7 +130,7 @@ let iter_homs ?(budget : Budget.t option) ?(fixed : (int * int) list = [])
         let all_fixed_consistent =
           Array.for_all
             (fun (tb, qt) ->
-              if List.for_all (fun j -> assignment.(j) >= 0) qt then
+              if List.for_all (fun j -> assigned.(j)) qt then
                 List.mem (List.map (fun j -> assignment.(j)) qt) tb
               else true)
             s.atoms
@@ -146,8 +151,9 @@ let iter_homs ?(budget : Budget.t option) ?(fixed : (int * int) list = [])
                   if !continue_ then begin
                     Budget.tick_opt budget;
                     assignment.(i) <- w;
+                    assigned.(i) <- true;
                     if consistent i then go (k + 1);
-                    assignment.(i) <- -1
+                    assigned.(i) <- false
                   end)
                 s.candidates.(i)
             end

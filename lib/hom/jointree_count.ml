@@ -31,8 +31,7 @@ let is_acyclic_structure (a : Structure.t) : bool =
     semiring. *)
 module Make (R : Semiring.S) = struct
 (** [count a d] is [hom(A -> D)] for an acyclic quantifier-free query [a].
-    Returns [None] if [a] is not acyclic (callers fall back to
-    {!Treedec_count}). *)
+    Returns [None] if [a] is not acyclic. *)
 let count (a : Structure.t) (d : Structure.t) : R.t option =
   if not (Signature.subset (Structure.signature a) (Structure.signature d))
   then Some R.zero
@@ -178,12 +177,9 @@ let count (a : Structure.t) (d : Structure.t) : R.t option =
       end
 end
 
-module I = Make (Semiring.Int)
 module B = Make (Semiring.Big)
 
-(** [count a d] is [hom(A -> D)] with native-integer arithmetic, or [None]
-    if [a] is cyclic. *)
-let count : Structure.t -> Structure.t -> int option = I.count
-
-(** [count_big a d] is the exact arbitrary-precision variant. *)
+(** [count_big a d] is [hom(A -> D)] with exact arbitrary-precision
+    arithmetic, or [None] if [a] is cyclic — the independent oracle for
+    the native-integer engine of [lib/db]. *)
 let count_big : Structure.t -> Structure.t -> Bigint.t option = B.count

@@ -14,9 +14,6 @@ module Make (R : Semiring.S) : sig
   val count : Structure.t -> Structure.t -> R.t option
 end
 
-(** [count a d] is [hom(A → D)] with native integers, or [None] when [a] is
-    cyclic (fall back to {!Treedec_count}). *)
-val count : Structure.t -> Structure.t -> int option
-
-(** [count_big a d] is the exact arbitrary-precision variant. *)
+(** [count_big a d] is [hom(A → D)] in exact arbitrary precision, or
+    [None] when [a] is cyclic: the oracle behind [Counting.count_big]. *)
 val count_big : Structure.t -> Structure.t -> Bigint.t option

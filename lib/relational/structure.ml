@@ -110,13 +110,35 @@ let compare_t (a : t) (b : t) : int = compare a b
 (* Algebraic operations                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* [merge_uniq xs ys] merges two sorted duplicate-free lists, sharing
+   the tail of [xs] past the last element of [ys]. *)
+let rec merge_uniq (xs : 'a list) (ys : 'a list) : 'a list =
+  match (xs, ys) with
+  | [], l | l, [] -> l
+  | x :: xs', y :: ys' ->
+      let c = compare x y in
+      if c < 0 then x :: merge_uniq xs' ys
+      else if c > 0 then y :: merge_uniq xs ys'
+      else x :: merge_uniq xs' ys'
+
 (** [add_tuples a name tuples] adds tuples to a relation, extending the
-    universe with any new elements. *)
+    universe with any new elements.  Only the new tuples are validated
+    and sorted; they are merged into the one relation, and every other
+    relation is reused. *)
 let add_tuples (a : t) (name : string) (tuples : tuple list) : t =
-  let extra = List.concat tuples in
-  make a.signature (a.universe @ extra)
-    ((name, relation a name @ tuples)
-    :: List.filter (fun (n, _) -> n <> name) a.relations)
+  let old = relation a name in
+  let arity = Signature.arity_of a.signature name in
+  if List.exists (fun t -> List.length t <> arity) tuples then
+    invalid_arg (Printf.sprintf "Structure.make: arity mismatch in %s" name);
+  let fresh = Listx.diff_sorted (Listx.sort_uniq_ints (List.concat tuples)) a.universe in
+  {
+    a with
+    universe = (if fresh = [] then a.universe else merge_uniq a.universe fresh);
+    relations =
+      List.map
+        (fun (n, ts) -> if n = name then (n, merge_uniq old (normalize_tuples tuples)) else (n, ts))
+        a.relations;
+  }
 
 (** [remove_tuples a name tuples] removes the listed tuples from a
     relation; absent tuples are ignored and the universe is kept as-is

@@ -774,8 +774,34 @@ let access_line (w : work) (resp : Protocol.response) ~(elapsed_ms : float)
          ("queue_ms", fnum queue_ms);
        ])
 
+let publish_snapshot (t : t) : unit =
+  let cache = Session.cache t.session and ddb = Session.db t.session in
+  let a = ref 0 and b = ref 0 and c = ref 0 in
+  Cache.iter cache (fun e ->
+      match e.Cache.maint with
+      | None -> ()
+      | Some st -> (
+          match Delta.effective_tier st with
+          | Tier.A -> incr a
+          | Tier.B -> incr b
+          | Tier.C -> incr c));
+  Atomic.set t.eval_snap
+    {
+      es_pool_spawned = Pool.spawn_count ();
+      es_pool_idle = Pool.idle_count ();
+      es_cache_entries = Cache.entries cache;
+      es_cache_invalids = Cache.invalids cache;
+      es_db_epoch = Delta.epoch ddb;
+      es_db_tuples = Delta.num_tuples ddb;
+      es_maint_a = !a;
+      es_maint_b = !b;
+      es_maint_c = !c;
+    }
+
 (* Per-request isolation boundary: nothing thrown while answering one
-   request may reach the evaluator loop. *)
+   request may reach the evaluator loop.  The snapshot is republished
+   before the response goes out, so a [stats] request or a [/metrics]
+   scrape sent after an acknowledged write reads its epoch. *)
 let process (t : t) (w : work) : unit =
   let t0 = Unix.gettimeofday () in
   let queue_ms = (t0 -. w.enqueued_at) *. 1000. in
@@ -822,32 +848,9 @@ let process (t : t) (w : work) : unit =
         flush oc
     | None -> ()
   end;
+  publish_snapshot t;
   send w.wconn resp;
   release t w.wconn
-
-let publish_snapshot (t : t) : unit =
-  let cache = Session.cache t.session and ddb = Session.db t.session in
-  let a = ref 0 and b = ref 0 and c = ref 0 in
-  Cache.iter cache (fun e ->
-      match e.Cache.maint with
-      | None -> ()
-      | Some st -> (
-          match Delta.effective_tier st with
-          | Tier.A -> incr a
-          | Tier.B -> incr b
-          | Tier.C -> incr c));
-  Atomic.set t.eval_snap
-    {
-      es_pool_spawned = Pool.spawn_count ();
-      es_pool_idle = Pool.idle_count ();
-      es_cache_entries = Cache.entries cache;
-      es_cache_invalids = Cache.invalids cache;
-      es_db_epoch = Delta.epoch ddb;
-      es_db_tuples = Structure.num_tuples (Delta.structure ddb);
-      es_maint_a = !a;
-      es_maint_b = !b;
-      es_maint_c = !c;
-    }
 
 let evaluator_loop (t : t) : unit =
   publish_snapshot t;
@@ -856,7 +859,6 @@ let evaluator_loop (t : t) : unit =
     | None -> ()
     | Some w ->
         process t w;
-        publish_snapshot t;
         loop ()
   in
   (try loop () with _ -> ());

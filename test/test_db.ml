@@ -46,7 +46,7 @@ let test_varelim_vs_naive () =
     (fun (name, q) ->
       Alcotest.(check int) name
         (Counting.count ~strategy:Counting.Naive q db)
-        (Varelim.count q db))
+        (Counting.count ~strategy:Counting.Varelim q db))
     queries
 
 let test_varelim_answer_set () =
@@ -87,7 +87,7 @@ let test_ternary_counting () =
       [ 0; 1; 2 ]
   in
   let naive q = Counting.count ~strategy:Counting.Naive q db in
-  Alcotest.(check int) "varelim ternary" (naive q2) (Varelim.count q2 db);
+  Alcotest.(check int) "varelim ternary" (naive q2) (Counting.count ~strategy:Counting.Varelim q2 db);
   Alcotest.(check int) "auto ternary qf" (naive qf) (Counting.count qf db);
   Alcotest.(check int) "treedec ternary" (naive qf)
     (Counting.count ~strategy:Counting.Treedec qf db);
@@ -112,9 +112,9 @@ let test_counting_dispatch () =
 let test_empty_database () =
   let db = Structure.make sg_e [] [] in
   let q = mkq 2 [ [ 0; 1 ] ] [ 0 ] in
-  Alcotest.(check int) "no answers on empty db" 0 (Varelim.count q db);
+  Alcotest.(check int) "no answers on empty db" 0 (Counting.count ~strategy:Counting.Varelim q db);
   let boolean_empty = Cq.make (Structure.make sg_e [] []) [] in
-  Alcotest.(check int) "empty boolean query satisfied" 1 (Varelim.count boolean_empty db)
+  Alcotest.(check int) "empty boolean query satisfied" 1 (Counting.count ~strategy:Counting.Varelim boolean_empty db)
 
 let test_enumerate_matches_answers () =
   let db = Generators.random_digraph ~seed:61 7 16 in
@@ -178,9 +178,10 @@ let test_nullary_and_unary_relations () =
       [ 0 ]
   in
   let naive d = Counting.count ~strategy:Counting.Naive q d in
-  Alcotest.(check int) "flag on" (naive db_on) (Varelim.count q db_on);
-  Alcotest.(check int) "flag on value" 2 (Varelim.count q db_on);
-  Alcotest.(check int) "flag off kills answers" 0 (Varelim.count q db_off);
+  let varelim d = Counting.count ~strategy:Counting.Varelim q d in
+  Alcotest.(check int) "flag on" (naive db_on) (varelim db_on);
+  Alcotest.(check int) "flag on value" 2 (varelim db_on);
+  Alcotest.(check int) "flag off kills answers" 0 (varelim db_off);
   (* quantifier-free variant through the DP engines *)
   let qf =
     Cq.of_structure
@@ -192,10 +193,11 @@ let test_nullary_and_unary_relations () =
   Alcotest.(check int) "weighted with nullary"
     (Counting.count ~strategy:Counting.Naive qf db_on)
     (Counting.count ~strategy:Counting.Weighted qf db_on);
-  Alcotest.(check int) "nice with nullary"
+  Alcotest.(check int) "yannakakis with nullary"
     (Counting.count ~strategy:Counting.Naive qf db_on)
-    (Nice_count.count (Cq.structure qf) db_on);
-  Alcotest.(check int) "nice nullary off" 0 (Nice_count.count (Cq.structure qf) db_off)
+    (Counting.count ~strategy:Counting.Yannakakis qf db_on);
+  Alcotest.(check int) "weighted nullary off" 0
+    (Counting.count ~strategy:Counting.Weighted qf db_off)
 
 let test_generators () =
   let d = Generators.path_db 5 in
@@ -259,7 +261,8 @@ let qcheck_varelim =
       (fun ((n, edges, free), seed) ->
         let q = mkq n edges free in
         let db = Generators.random_digraph ~seed 5 10 in
-        Varelim.count q db = Counting.count ~strategy:Counting.Naive q db);
+        Counting.count ~strategy:Counting.Varelim q db
+        = Counting.count ~strategy:Counting.Naive q db);
     Test.make ~name:"enumeration agrees with varelim answers" ~count:60
       (pair gen_query (int_range 0 1000))
       (fun ((n, edges, _), seed) ->
@@ -273,7 +276,8 @@ let qcheck_varelim =
       (fun ((n, edges, free), seed) ->
         let q = mkq n edges free in
         let db = Generators.random_digraph ~seed 4 8 in
-        List.length (Varelim.answers q db) = Varelim.count q db);
+        List.length (Varelim.answers q db)
+        = Counting.count ~strategy:Counting.Varelim q db);
   ]
 
 let qcheck_qgen =
@@ -286,7 +290,8 @@ let qcheck_qgen =
         let q = Qgen.random_cq ~seed:qseed ~max_vars:4 ~max_atoms:4 sg in
         let db = Generators.random_digraph ~seed:dseed 5 10 in
         let naive = Counting.count ~strategy:Counting.Naive q db in
-        Counting.count q db = naive && Varelim.count q db = naive);
+        Counting.count q db = naive
+        && Counting.count ~strategy:Counting.Varelim q db = naive);
     Test.make ~name:"qgen acyclic CQs: yannakakis and enumeration agree" ~count:80
       (pair (int_range 0 100_000) (int_range 0 1000))
       (fun (qseed, dseed) ->

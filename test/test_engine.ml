@@ -1,6 +1,66 @@
-(** Tests for the per-term counting engines behind [Counting.count]: the
-    budget schedule each strategy charges, pinned against a transcript
-    recorded before the engines were replaced ([budget_schedule.txt]). *)
+(** Tests for the per-term counting engine behind [Counting.count]: an
+    oracle suite against [Naive] and [count_big] over spread element ids,
+    and the budget schedule each strategy charges, pinned against a
+    transcript recorded before the engines were replaced
+    ([budget_schedule.txt]). *)
+
+(* ------------------------------------------------------------------ *)
+(* Oracle suite                                                       *)
+(* ------------------------------------------------------------------ *)
+
+let oracle_sg =
+  Signature.make
+    Signature.[ symbol "N" 0; symbol "U" 1; symbol "E" 2; symbol "T" 3; symbol "F" 5 ]
+
+(* Element [i] spread over negative ids, ids past 2^31 and small ones. *)
+let spread (i : int) : int =
+  match i mod 3 with 0 -> (-7919 * i) - 1 | 1 -> (1 lsl 31) + (104729 * i) | _ -> i
+
+(* A random database over [oracle_sg]: 0 to 5 elements (the empty
+   universe included) and, per symbol, 0 to 8 uniform tuples (so empty
+   relations too), then renamed through [spread]. *)
+let oracle_db (seed : int) : Structure.t =
+  let st = Random.State.make [| seed; 17 |] in
+  let n = Random.State.int st 6 in
+  let rels =
+    List.map
+      (fun (s : Signature.symbol) ->
+        let k = if n = 0 && s.arity > 0 then 0 else Random.State.int st 9 in
+        (s.name, List.init k (fun _ -> List.init s.arity (fun _ -> Random.State.int st n))))
+      oracle_sg
+  in
+  Structure.rename (Structure.make oracle_sg (List.init n Fun.id) rels) spread
+
+(* A random CQ over [oracle_sg] (repeated variables, nullary atoms and
+   arities up to 5 come with the signature), its variables spread too. *)
+let oracle_cq (seed : int) : Cq.t =
+  let q = Qgen.random_cq ~seed ~max_vars:4 ~max_atoms:4 oracle_sg in
+  Cq.make (Structure.rename (Cq.structure q) spread) (List.map spread (Cq.free q))
+
+let pool2 = lazy (Pool.create ~jobs:2 ())
+
+let qcheck_oracle =
+  let open QCheck in
+  let seeds = pair (int_range 0 1_000_000) (int_range 0 1_000_000) in
+  [
+    Test.make ~name:"engine strategies agree with naive and count_big" ~count:400 seeds
+      (fun (qs, ds) ->
+        let q = oracle_cq qs and db = oracle_db ds in
+        let naive = Counting.count ~strategy:Counting.Naive q db in
+        let by strategy = Counting.count ~strategy q db = naive in
+        let qf = Cq.is_quantifier_free q in
+        Bigint.to_int_opt (Counting.count_big q db) = Some naive
+        && by Counting.Auto && by Counting.Varelim
+        && ((not qf) || by Counting.Weighted)
+        && ((not (qf && Cq.is_acyclic q)) || by Counting.Yannakakis));
+    Test.make ~name:"count_terms on a 2-domain pool equals sequential" ~count:60 seeds
+      (fun (qs, ds) ->
+        let psi = Qgen.random_ucq ~seed:qs ~max_disjuncts:3 ~max_vars:4 ~max_atoms:3 oracle_sg in
+        let db = oracle_db ds in
+        let terms = Ucq.support psi in
+        let seq = Ucq.count_terms terms db in
+        seq = Ucq.count_terms ~pool:(Lazy.force pool2) terms db && seq = Ucq.count_naive psi db);
+  ]
 
 (* ------------------------------------------------------------------ *)
 (* The pinned budget schedule                                         *)
@@ -104,4 +164,8 @@ let test_budget_schedule () =
     (List.combine expected actual)
 
 let suite =
-  [ ("engine", [ Alcotest.test_case "budget schedule pinned" `Quick test_budget_schedule ]) ]
+  [
+    ( "engine",
+      Alcotest.test_case "budget schedule pinned" `Quick test_budget_schedule
+      :: List.map QCheck_alcotest.to_alcotest qcheck_oracle );
+  ]

@@ -112,6 +112,43 @@ let qcheck_tensor =
         Struct_iso.isomorphic d (Structure.rename d (fun v -> 100 - v)));
   ]
 
+(* [Structure.add_tuples] against the construction it replaced: [make]
+   over the whole structure with the relation and universe extended. *)
+let qcheck_add_tuples =
+  let open QCheck in
+  let sg = Signature.make [ Signature.symbol "E" 2; Signature.symbol "R" 1 ] in
+  let gen =
+    make
+      ~print:(fun (seed, rel, ts) ->
+        Printf.sprintf "seed=%d %s += [%s]" seed rel
+          (String.concat "; " (List.map (fun t -> String.concat "," (List.map string_of_int t)) ts)))
+      Gen.(
+        int_range 0 1000 >>= fun seed ->
+        bool >>= fun binary ->
+        list_size (int_range 0 5) (list_repeat (if binary then 2 else 1) (int_range (-3) 9))
+        >|= fun ts -> (seed, (if binary then "E" else "R"), ts))
+  in
+  [
+    Test.make ~name:"add_tuples equals make over the whole structure" ~count:200 gen
+      (fun (seed, rel, ts) ->
+        let a = Generators.random_structure ~seed sg 6 (seed mod 8) in
+        let ts = ts @ List.filteri (fun i _ -> i < 2) (Structure.relation a rel) in
+        let expected =
+          Structure.make sg
+            (Structure.universe a @ List.concat ts)
+            ((rel, Structure.relation a rel @ ts)
+            :: List.filter (fun (n, _) -> n <> rel) (Structure.relations a))
+        in
+        Structure.equal (Structure.add_tuples a rel ts) expected);
+  ]
+
+let test_add_tuples_errors () =
+  let a = Structure.make sg_e [ 0; 1 ] [ ("E", [ [ 0; 1 ] ]) ] in
+  Alcotest.check_raises "unknown symbol" (Invalid_argument "Structure.relation: unknown symbol F")
+    (fun () -> ignore (Structure.add_tuples a "F" [ [ 0; 1 ] ]));
+  Alcotest.check_raises "arity" (Invalid_argument "Structure.make: arity mismatch in E")
+    (fun () -> ignore (Structure.add_tuples a "E" [ [ 0 ] ]))
+
 let suite =
   [
     ( "relational",
@@ -124,6 +161,7 @@ let suite =
         Alcotest.test_case "tensor product" `Quick test_tensor;
         Alcotest.test_case "structure isomorphism" `Quick test_struct_iso;
         Alcotest.test_case "rename" `Quick test_rename;
+        Alcotest.test_case "add_tuples errors" `Quick test_add_tuples_errors;
       ]
-      @ List.map QCheck_alcotest.to_alcotest qcheck_tensor );
+      @ List.map QCheck_alcotest.to_alcotest (qcheck_tensor @ qcheck_add_tuples) );
   ]

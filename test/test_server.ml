@@ -406,6 +406,48 @@ let test_server_end_to_end () =
   Alcotest.(check int) "graceful drain discards nothing" 0 (Server.stop t);
   Alcotest.(check bool) "socket unlinked" false (Sys.file_exists path)
 
+(* A [stats] request sent right after an acknowledged write reads that
+   write's epoch (and tuple count): the evaluator publishes its snapshot
+   before it answers. *)
+let test_server_stats_after_write () =
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "ucqc-test-stats-%d.sock" (Unix.getpid ()))
+  in
+  if Sys.file_exists path then Sys.remove path;
+  let config =
+    { (Server.default_config ~listen:(Server.Unix_socket path) ~jobs:1) with Server.queue_depth = 8 }
+  in
+  let db = small_db () in
+  let t = Server.start config ~db in
+  Fun.protect
+    ~finally:(fun () -> ignore (Server.stop t : int))
+    (fun () ->
+      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+      Unix.setsockopt_float fd Unix.SO_RCVTIMEO 10.;
+      Unix.connect fd (Unix.ADDR_UNIX path);
+      let ic = Unix.in_channel_of_descr fd in
+      let ask line =
+        let line = line ^ "\n" in
+        ignore (Unix.write_substring fd line 0 (String.length line) : int);
+        Trace_json.parse (input_line ic)
+      in
+      let field path v =
+        match List.fold_left (fun v k -> Option.bind v (Trace_json.member k)) (Some v) path with
+        | Some (Trace_json.Num f) -> int_of_float f
+        | _ -> Alcotest.fail ("missing " ^ String.concat "." path)
+      in
+      for i = 1 to 300 do
+        let op = if i mod 2 = 1 then "insert" else "delete" in
+        let ack = ask (Printf.sprintf {|{"op":"%s","fact":"E(4, 0)"}|} op) in
+        let stats = ask {|{"op":"stats"}|} in
+        Alcotest.(check int) (Printf.sprintf "epoch after write %d" i)
+          (field [ "result"; "epoch" ] ack) (field [ "result"; "db"; "epoch" ] stats);
+        Alcotest.(check int) (Printf.sprintf "tuples after write %d" i)
+          (5 + (i mod 2)) (field [ "result"; "db"; "tuples" ] stats)
+      done;
+      Unix.close fd)
+
 let test_server_pool_reuse () =
   (* the serve evaluator owns one resident pool for its whole lifetime:
      two sequential parallel-counted requests must not spawn any domain
@@ -628,6 +670,8 @@ let suite =
         Alcotest.test_case "cache eviction" `Quick test_cache_eviction;
         Alcotest.test_case "admission control" `Quick test_admission;
         Alcotest.test_case "end to end" `Quick test_server_end_to_end;
+        Alcotest.test_case "stats read the acknowledged epoch" `Quick
+          test_server_stats_after_write;
         Alcotest.test_case "pool reuse across requests" `Quick
           test_server_pool_reuse;
         Alcotest.test_case "served golden transcript" `Quick

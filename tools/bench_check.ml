@@ -2,7 +2,8 @@
     named on the command line (default [BENCH_parallel.json]) and
     dispatches on its shape: a file with a [workloads] array gets the
     parallel bars, a file with [kind = "optimize"] gets the optimizer
-    bars, a file with [kind = "expansion"] the expansion bars.
+    bars, a file with [kind = "expansion"] the expansion bars, a file
+    with [kind = "engine"] the engine bars.
 
     Parallel bars (BENCH_parallel.json — the parallel hot path must pay
     for itself):
@@ -36,6 +37,12 @@
     budget steps of both equal the subset count [2^ℓ − 1], classes and
     support size equal the reference's, and from ℓ = 8 on the walk
     computes fewer #cores than there are subsets.
+
+    Engine bars (BENCH_engine.json — the per-term elimination engine on
+    the count_skewed_graph database, against [bench/engine_baseline.json],
+    recorded with the engines it replaced): the same terms in the same
+    order, each with the baseline's count and budget steps, and at most
+    a quarter of the baseline's allocated words.
 
     Exits 1 on any violation, 0 otherwise. *)
 
@@ -167,6 +174,34 @@ let check_expansion (path : string) (j : Trace_json.t) : unit =
         (int "support" walk))
     (arr_exn "unions" j)
 
+let engine_baseline = "bench/engine_baseline.json"
+
+let check_engine (path : string) (j : Trace_json.t) : unit =
+  let base = arr_exn "terms" (Trace_json.parse_file engine_baseline) in
+  let terms = arr_exn "terms" j in
+  if List.length terms <> List.length base then
+    fail "%s: %d terms, the baseline has %d" path (List.length terms) (List.length base)
+  else
+    List.iter2
+      (fun t b ->
+        let name = str_exn "shape" t ^ " / " ^ str_exn "term" t in
+        if str_exn "term" t <> str_exn "term" b then
+          fail "%s: term %s is %s in the baseline" path name (str_exn "term" b);
+        List.iter
+          (fun k ->
+            if num_exn k t <> num_exn k b then
+              fail "%s: %s: %s %.0f differs from the baseline's %.0f" path name k (num_exn k t)
+                (num_exn k b))
+          [ "count"; "steps" ];
+        let words = num_exn "words" t and bound = num_exn "words" b /. 4. in
+        if words > bound then
+          fail "%s: %s: %.0f words allocated, above a quarter of the baseline's (%.0f)" path name
+            words bound
+        else
+          Printf.printf "bench_check: %s %s: %.0f words (baseline %.0f, %.1fx fewer)\n" path name
+            words (num_exn "words" b) (num_exn "words" b /. words))
+      terms base
+
 let check_parallel (path : string) (j : Trace_json.t) : unit =
   let workloads = arr_exn "workloads" j in
   (* determinism bars: hold regardless of core count *)
@@ -248,6 +283,7 @@ let () =
       match Trace_json.member "kind" j with
       | Some (Trace_json.Str "optimize") -> check_optimize path j
       | Some (Trace_json.Str "expansion") -> check_expansion path j
+      | Some (Trace_json.Str "engine") -> check_engine path j
       | _ -> check_parallel path j)
     paths;
   if !fail_count > 0 then begin
