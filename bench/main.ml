@@ -5,7 +5,8 @@
     speedup table plus the E15 telemetry-overhead measurement and writes
     [BENCH_parallel.json], then the E19 optimizer-effect table and
     writes [BENCH_optimize.json], then the E20 expansion table and
-    writes [BENCH_expansion.json].
+    writes [BENCH_expansion.json], then the E21 per-term engine table and
+    writes [BENCH_engine.json].
 
     Run with: [dune exec bench/main.exe] *)
 
@@ -1125,9 +1126,10 @@ let zipf_digraph ~(seed : int) (n : int) (m : int) : Structure.t =
 
 (** The E21 table: every support term of the five count_skewed_graph
     shapes, counted by [Counting.count] (automatic strategy) on the
-    5000-node, 17000-edge Zipf database of seed 1.  Per term: the count,
-    the budget steps, the words allocated ([Gc.allocated_bytes] / 8) —
-    all deterministic — and the median wall time of three runs.
+    5000-node, 17000-edge Zipf database of seed 1.  Per term: the count
+    and the budget steps (deterministic), the words allocated
+    ([Gc.allocated_bytes] / 8, from a collected heap: repeats to within
+    half a percent) and the median wall time of three runs.
     [tools/bench_check.exe] holds counts and steps to
     [bench/engine_baseline.json] and allocation to a quarter of it. *)
 let engine_json () =
@@ -1153,6 +1155,9 @@ let engine_json () =
           (fun (t : Ucq.expansion_term) ->
             let q = t.Ucq.representative in
             let budget = Budget.unlimited () in
+            (* from a collected heap, so the figure does not depend on
+               what the benches before this one left behind *)
+            Gc.full_major ();
             let before = Gc.allocated_bytes () in
             let count = Counting.count ~budget q db in
             let words = (Gc.allocated_bytes () -. before) /. 8. in

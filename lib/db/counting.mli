@@ -1,15 +1,16 @@
-(** Counting answers to a single conjunctive query: strategy dispatch over
-    the engines of this library. *)
+(** Counting answers to a single conjunctive query: strategy dispatch.
+    [Yannakakis], [Weighted] and [Varelim] are the orders of the one
+    elimination engine {!Elim}. *)
 
 type strategy =
   | Auto
-      (** quantifier-free: join tree if acyclic, else weighted sum-product;
-          quantified: variable elimination *)
+      (** quantifier-free: [Yannakakis] if acyclic, else [Weighted];
+          quantified: [Varelim] *)
   | Naive  (** enumerate assignments of the free variables (oracle) *)
-  | Yannakakis  (** linear-time; acyclic quantifier-free only *)
+  | Yannakakis  (** GYO order, linear-time; acyclic quantifier-free only *)
   | Treedec  (** dense [n^(tw+1)] dynamic program; quantifier-free only *)
   | Weighted  (** sum-product elimination; quantifier-free only *)
-  | Varelim  (** projection-based; any query *)
+  | Varelim  (** existential projection of the quantified variables; any query *)
 
 exception Unsupported of string
 

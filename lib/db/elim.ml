@@ -169,6 +169,10 @@ let combine ~(exists : bool) (nv : int) (fs : factor list) (out : int array) : f
 
 let mentions (v : int) (f : factor) : bool = Array.mem v f.vars
 
+(* The rows of the factors that mention [v]. *)
+let rows_with (v : int) (fs : factor list) : int =
+  List.fold_left (fun acc f -> if mentions v f then acc + f.rows else acc) 0 fs
+
 (* The variables of [fs] other than [v], in first-seen order. *)
 let remaining_vars (v : int) (fs : factor list) : int array =
   List.fold_left
@@ -221,8 +225,7 @@ let rec sum_out (nv : int) (fs : factor list) : int =
           match List.find_map (fun f -> Option.map (fun g -> (f, g)) (List.find_opt (subsumed f) fs)) fs with
           | Some (f, g) -> fst (combine ~exists:false nv [ g; f ] g.vars) :: List.filter (fun h -> h != f && h != g) fs
           | None ->
-              let total v = List.fold_left (fun acc f -> if mentions v f then acc + f.rows else acc) 0 fs in
-              let v = Listx.min_by total (Array.to_list (remaining_vars (-1) fs)) in
+              let v = Listx.min_by (fun v -> rows_with v fs) (Array.to_list (remaining_vars (-1) fs)) in
               let with_v, without = List.partition (mentions v) fs in
               fst (combine ~exists:false nv with_v (remaining_vars v with_v)) :: without)
     in
@@ -291,8 +294,7 @@ let count ?(budget : Budget.t option) (order : order) (q : Cq.t) (d : Structure.
     match order with
     | Acyclic -> free_count factors
     | Summing -> (
-        let cost v fs = List.fold_left (fun acc f -> if mentions v f then acc + f.rows else acc) 0 fs in
-        match eliminate ?budget ~exists:false ~cost nv covered factors with
+        match eliminate ?budget ~exists:false ~cost:rows_with nv covered factors with
         | None -> 0
         | Some fs -> free_count fs)
     | Projecting -> (

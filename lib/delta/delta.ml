@@ -305,7 +305,8 @@ let prepare_bterm ?(budget : Budget.t option) (d : db) (sign : int) (q0 : Cq.t)
   let us = Structure.universe_size d.current in
   if us = 0 then
     (* no update can touch an empty universe: the count is frozen *)
-    { tsign = sign; tq = q0; iso_exp = 0; occs = []; n = Counting.count ~strategy:Counting.Varelim ?budget q0 d.current }
+    let n = Counting.count ~strategy:Counting.Varelim ?budget q0 d.current in
+    { tsign = sign; tq = q0; iso_exp = 0; occs = []; n }
   else begin
     let q1 = Cq.drop_isolated_quantified q0 in
     let iso = Cq.isolated_variables q1 in
@@ -391,7 +392,8 @@ let apply_bterm ?(budget : Budget.t option) (b : bstate) (t : bterm)
                 specialize b.prefix t.tq (List.combine xs a) d_check
               with
               | None -> false
-              | Some (qb, db_) -> Counting.count ~strategy:Counting.Varelim ?budget qb db_ > 0
+              | Some (qb, db_) ->
+                  Counting.count ~strategy:Counting.Varelim ?budget qb db_ > 0
             in
             if satisfied then acc else acc + 1)
           cands 0

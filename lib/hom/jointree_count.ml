@@ -27,12 +27,12 @@ let atom_hypergraph (a : Structure.t) : Hypergraph.t =
 let is_acyclic_structure (a : Structure.t) : bool =
   Hypergraph.is_acyclic (atom_hypergraph a)
 
-(** [Make (R)] instantiates the join-tree counter over a counting
-    semiring. *)
-module Make (R : Semiring.S) = struct
-(** [count a d] is [hom(A -> D)] for an acyclic quantifier-free query [a].
-    Returns [None] if [a] is not acyclic. *)
-let count (a : Structure.t) (d : Structure.t) : R.t option =
+module R = Semiring.Big
+
+(** [count_big a d] is [hom(A -> D)] for an acyclic quantifier-free query
+    [a] in exact arbitrary precision, or [None] if [a] is cyclic — the
+    independent oracle for the native-integer engine of [lib/db]. *)
+let count_big (a : Structure.t) (d : Structure.t) : Bigint.t option =
   if not (Signature.subset (Structure.signature a) (Structure.signature d))
   then Some R.zero
   else begin
@@ -175,11 +175,3 @@ let count (a : Structure.t) (d : Structure.t) : R.t option =
           Some (R.mul root_total (R.pow (R.of_int n_db) isolated))
         end
       end
-end
-
-module B = Make (Semiring.Big)
-
-(** [count_big a d] is [hom(A -> D)] with exact arbitrary-precision
-    arithmetic, or [None] if [a] is cyclic — the independent oracle for
-    the native-integer engine of [lib/db]. *)
-let count_big : Structure.t -> Structure.t -> Bigint.t option = B.count

@@ -9,11 +9,6 @@ val atom_hypergraph : Structure.t -> Hypergraph.t
     the paper's notion of acyclicity for queries. *)
 val is_acyclic_structure : Structure.t -> bool
 
-(** [Make (R)] instantiates the counter over a semiring. *)
-module Make (R : Semiring.S) : sig
-  val count : Structure.t -> Structure.t -> R.t option
-end
-
 (** [count_big a d] is [hom(A → D)] in exact arbitrary precision, or
     [None] when [a] is cyclic: the oracle behind [Counting.count_big]. *)
 val count_big : Structure.t -> Structure.t -> Bigint.t option

@@ -1,11 +1,11 @@
 (** Commutative semirings for parametric counting.
 
-    The dynamic programs of {!Jointree_count} and {!Treedec_count} only add
-    and multiply partial counts, so they are written once over an abstract
-    semiring.  The [Int] instance is the fast word-RAM path used by the
-    benchmarks (matching the machine model of Section 2); the [Big] instance
-    (over {!Bigint.t}) is used by the complexity-monotonicity solver of
-    Theorem 28, whose tensor-product counts overflow native integers. *)
+    The dynamic program of {!Treedec_count} only adds and multiplies
+    partial counts, so it is written once over an abstract semiring: the
+    [Int] instance is the word-RAM path (the machine model of Section 2),
+    the [Big] instance (over {!Bigint.t}) serves the complexity-monotonicity
+    solver of Theorem 28, whose tensor-product counts overflow native
+    integers, and the exact oracles ({!Jointree_count} runs on [Big]). *)
 
 module type S = sig
   type t

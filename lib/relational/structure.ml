@@ -112,7 +112,7 @@ let compare_t (a : t) (b : t) : int = compare a b
 
 (* [merge_uniq xs ys] merges two sorted duplicate-free lists, sharing
    the tail of [xs] past the last element of [ys]. *)
-let rec merge_uniq (xs : 'a list) (ys : 'a list) : 'a list =
+let[@tail_mod_cons] rec merge_uniq (xs : 'a list) (ys : 'a list) : 'a list =
   match (xs, ys) with
   | [], l | l, [] -> l
   | x :: xs', y :: ys' ->
