@@ -219,13 +219,16 @@ let rec sum_out (nv : int) (fs : factor list) : int =
     let next =
       match List.find_opt (fun f -> Array.exists (fun v -> occ v = 1) f.vars) fs with
       | Some f ->
-          fst (combine ~exists:false nv [ f ] (Array.of_list (List.filter (fun v -> occ v > 1) (Array.to_list f.vars))))
-          :: others f
+          let shared = List.filter (fun v -> occ v > 1) (Array.to_list f.vars) in
+          fst (combine ~exists:false nv [ f ] (Array.of_list shared)) :: others f
       | None -> (
-          match List.find_map (fun f -> Option.map (fun g -> (f, g)) (List.find_opt (subsumed f) fs)) fs with
-          | Some (f, g) -> fst (combine ~exists:false nv [ g; f ] g.vars) :: List.filter (fun h -> h != f && h != g) fs
+          let inside f = Option.map (fun g -> (f, g)) (List.find_opt (subsumed f) fs) in
+          match List.find_map inside fs with
+          | Some (f, g) ->
+              fst (combine ~exists:false nv [ g; f ] g.vars) :: List.filter (fun h -> h != g) (others f)
           | None ->
-              let v = Listx.min_by (fun v -> rows_with v fs) (Array.to_list (remaining_vars (-1) fs)) in
+              let live = List.filter (fun v -> occ v > 0) (List.init nv Fun.id) in
+              let v = Listx.min_by (fun v -> rows_with v fs) live in
               let with_v, without = List.partition (mentions v) fs in
               fst (combine ~exists:false nv with_v (remaining_vars v with_v)) :: without)
     in
@@ -267,7 +270,7 @@ let count ?(budget : Budget.t option) (order : order) (q : Cq.t) (d : Structure.
   let n = Structure.universe_size d in
   if not (Signature.subset (Structure.signature a) (Structure.signature d)) then 0
   else if n = 0 && order = Projecting then
-    (* no assignment but the empty one, which needs an atom-free body *)
+    (* only the empty assignment exists: an answer iff the query holds *)
     if Cq.free q = [] && Hom.exists ?budget a d then 1 else 0
   else begin
     let univ = Structure.universe a in
@@ -280,7 +283,7 @@ let count ?(budget : Budget.t option) (order : order) (q : Cq.t) (d : Structure.
           else begin
             (* one flat copy of the relation per call, shared by its atoms *)
             let tuples = Structure.relation d name in
-            let arity = match ts with t :: _ -> List.length t | [] -> 0 in
+            let arity = Signature.arity_of (Structure.signature d) name in
             let rows = List.length tuples in
             let rel = Array.make (rows * arity) 0 in
             let rec fill i = function [] -> () | v :: t -> rel.(i) <- v; fill (i + 1) t in
@@ -290,13 +293,14 @@ let count ?(budget : Budget.t option) (order : order) (q : Cq.t) (d : Structure.
         (Structure.relations a)
     in
     let covered = List.filter (fun v -> List.exists (mentions v) factors) (List.init nv Fun.id) in
-    let free_count fs = sum_out nv fs * Combinat.power_int n (nv - List.length covered) in
+    (* a variable in no atom ranges over the whole universe *)
+    let homs fs = sum_out nv fs * Combinat.power_int n (nv - List.length covered) in
     match order with
-    | Acyclic -> free_count factors
+    | Acyclic -> homs factors
     | Summing -> (
         match eliminate ?budget ~exists:false ~cost:rows_with nv covered factors with
         | None -> 0
-        | Some fs -> free_count fs)
+        | Some fs -> homs fs)
     | Projecting -> (
         let cost v fs = List.length (List.filter (mentions v) fs) in
         match eliminate ?budget ~exists:true ~cost nv (List.map local (Cq.quantified q)) factors with

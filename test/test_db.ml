@@ -212,7 +212,7 @@ let test_generators () =
   Alcotest.(check bool) "seeded determinism" true
     (Structure.equal r (Generators.random_digraph ~seed:1 10 30))
 
-let test_wvarelim () =
+let test_weighted () =
   let db = Generators.random_digraph ~seed:9 8 22 in
   List.iter
     (fun (name, edges, n) ->
@@ -321,7 +321,7 @@ let suite =
         Alcotest.test_case "relation algebra" `Quick test_relation_ops;
         Alcotest.test_case "atom with repeated vars" `Quick test_of_atom_repetition;
         Alcotest.test_case "varelim vs naive" `Quick test_varelim_vs_naive;
-        Alcotest.test_case "weighted varelim" `Quick test_wvarelim;
+        Alcotest.test_case "weighted varelim" `Quick test_weighted;
         Alcotest.test_case "answer sets" `Quick test_varelim_answer_set;
         Alcotest.test_case "relation edge cases" `Quick test_relation_edge_cases;
         Alcotest.test_case "ternary relations" `Quick test_ternary_counting;
