@@ -45,14 +45,19 @@ let qcheck_oracle =
   [
     Test.make ~name:"engine strategies agree with naive and count_big" ~count:400 seeds
       (fun (qs, ds) ->
-        let q = oracle_cq qs and db = oracle_db ds in
-        let naive = Counting.count ~strategy:Counting.Naive q db in
-        let by strategy = Counting.count ~strategy q db = naive in
-        let qf = Cq.is_quantifier_free q in
-        Bigint.to_int_opt (Counting.count_big q db) = Some naive
-        && by Counting.Auto && by Counting.Varelim
-        && ((not qf) || by Counting.Weighted)
-        && ((not (qf && Cq.is_acyclic q)) || by Counting.Yannakakis));
+        let db = oracle_db ds in
+        let agree q =
+          let naive = Counting.count ~strategy:Counting.Naive q db in
+          let by strategy = Counting.count ~strategy q db = naive in
+          let qf = Cq.is_quantifier_free q in
+          Bigint.to_int_opt (Counting.count_big q db) = Some naive
+          && by Counting.Auto && by Counting.Varelim
+          && ((not qf) || by Counting.Weighted)
+          && ((not (qf && Cq.is_acyclic q)) || by Counting.Yannakakis)
+        in
+        (* the term as drawn, and with every variable free *)
+        let q = oracle_cq qs in
+        agree q && agree (Cq.of_structure (Cq.structure q)));
     Test.make ~name:"count_terms on a 2-domain pool equals sequential" ~count:60 seeds
       (fun (qs, ds) ->
         let psi = Qgen.random_ucq ~seed:qs ~max_disjuncts:3 ~max_vars:4 ~max_atoms:3 oracle_sg in
