@@ -21,7 +21,8 @@
     - {!Hom} — homomorphism search (the semantics of CQ answers)
     - {!Jointree_count} — linear-time counting for acyclic quantifier-free
       CQs (Theorems 4/37)
-    - {!Treedec_count} — the [n^(tw+1)] counting dynamic program
+    - {!Treedec_count} — the [n^(tw+1)] counting dynamic program, in
+      exact arithmetic (Theorem 28's tensor products, an oracle)
     - {!Relation}, {!Varelim}, {!Counting} — relational algebra, variable
       elimination for quantified queries, strategy dispatch
     - {!Generators} — synthetic databases
@@ -79,7 +80,6 @@ module Rational = Rational
 module Linalg = Linalg
 module Graph = Graph
 module Treedec = Treedec
-module Nice_treedec = Nice_treedec
 module Treewidth = Treewidth
 module Graph_iso = Graph_iso
 module Hypergraph = Hypergraph
@@ -87,7 +87,6 @@ module Signature = Signature
 module Structure = Structure
 module Struct_iso = Struct_iso
 module Hom = Hom
-module Semiring = Semiring
 module Jointree_count = Jointree_count
 module Treedec_count = Treedec_count
 module Relation = Relation

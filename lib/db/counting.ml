@@ -2,8 +2,6 @@
 
     - [Naive] iterates all assignments of the free variables and tests
       extendability with the backtracking engine — the reference oracle.
-    - [Treedec] is the [n^{tw+1}] dynamic program for quantifier-free
-      queries of bounded treewidth (tractable side of Theorem 21).
     - Every other strategy runs the one elimination engine {!Elim} in
       the order the strategy names: [Yannakakis] its linear-time GYO
       order for acyclic quantifier-free queries (Theorems 4/37),
@@ -12,7 +10,7 @@
       for any query.
     - [Auto] picks the cheapest sound strategy for the query shape. *)
 
-type strategy = Auto | Naive | Yannakakis | Treedec | Weighted | Varelim
+type strategy = Auto | Naive | Yannakakis | Weighted | Varelim
 
 exception Unsupported of string
 
@@ -21,7 +19,6 @@ exception Unsupported of string
    even with telemetry off *)
 let naive_c = Telemetry.counter "count.naive"
 let yannakakis_c = Telemetry.counter "count.yannakakis"
-let treedec_c = Telemetry.counter "count.treedec"
 let weighted_c = Telemetry.counter "count.weighted"
 let varelim_c = Telemetry.counter "count.varelim"
 
@@ -71,10 +68,6 @@ let count ?(strategy = Auto) ?(budget : Budget.t option)
       require quantifier_free "Yannakakis counting requires a quantifier-free query";
       require (acyclic ()) "Yannakakis counting requires an acyclic query";
       elim yannakakis_c Elim.Acyclic
-  | Treedec ->
-      require quantifier_free "Treedec counting requires a quantifier-free query";
-      Telemetry.incr treedec_c;
-      Treedec_count.count (Cq.structure q) d
   | Weighted ->
       require quantifier_free "Weighted counting requires a quantifier-free query";
       elim weighted_c Elim.Summing

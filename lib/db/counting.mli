@@ -8,7 +8,6 @@ type strategy =
           quantified: [Varelim] *)
   | Naive  (** enumerate assignments of the free variables (oracle) *)
   | Yannakakis  (** GYO order, linear-time; acyclic quantifier-free only *)
-  | Treedec  (** dense [n^(tw+1)] dynamic program; quantifier-free only *)
   | Weighted  (** sum-product elimination; quantifier-free only *)
   | Varelim  (** existential projection of the quantified variables; any query *)
 

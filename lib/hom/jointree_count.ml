@@ -27,14 +27,12 @@ let atom_hypergraph (a : Structure.t) : Hypergraph.t =
 let is_acyclic_structure (a : Structure.t) : bool =
   Hypergraph.is_acyclic (atom_hypergraph a)
 
-module R = Semiring.Big
-
 (** [count_big a d] is [hom(A -> D)] for an acyclic quantifier-free query
     [a] in exact arbitrary precision, or [None] if [a] is cyclic — the
     independent oracle for the native-integer engine of [lib/db]. *)
 let count_big (a : Structure.t) (d : Structure.t) : Bigint.t option =
   if not (Signature.subset (Structure.signature a) (Structure.signature d))
-  then Some R.zero
+  then Some Bigint.zero
   else begin
     (* List atoms as (vars-of-atom, database tuples restricted to a canonical
        variable order).  An atom R(x, y, x) with repeated variables keeps
@@ -80,7 +78,7 @@ let count_big (a : Structure.t) (d : Structure.t) : Bigint.t option =
         let m = Array.length atoms_arr in
         let n_db = Structure.universe_size d in
         if m = 0 then
-          Some (R.pow (R.of_int n_db) (Structure.universe_size a))
+          Some (Bigint.pow (Bigint.of_int n_db) (Structure.universe_size a))
         else begin
           (* Variables covered by no atom are free: multiply by |U(D)| each.*)
           let covered =
@@ -122,7 +120,7 @@ let count_big (a : Structure.t) (d : Structure.t) : Bigint.t option =
               adj.(x)
           done;
           (* tables.(i) maps shared-with-parent value vectors to counts *)
-          let tables : (int list, R.t) Hashtbl.t array =
+          let tables : (int list, Bigint.t) Hashtbl.t array =
             Array.init m (fun _ -> Hashtbl.create 64)
           in
           (* process in reverse BFS order (leaves first) *)
@@ -152,26 +150,26 @@ let count_big (a : Structure.t) (d : Structure.t) : Bigint.t option =
                   let contribution =
                     List.fold_left
                       (fun acc (ctable, pos) ->
-                        if R.is_zero acc then acc
+                        if Bigint.is_zero acc then acc
                         else begin
                           let key = List.map (fun p -> arr.(p)) pos in
-                          R.mul acc
-                            (Option.value ~default:R.zero
+                          Bigint.mul acc
+                            (Option.value ~default:Bigint.zero
                                (Hashtbl.find_opt ctable key))
                         end)
-                      R.one child_info
+                      Bigint.one child_info
                   in
-                  if not (R.is_zero contribution) then begin
+                  if not (Bigint.is_zero contribution) then begin
                     let key = List.map (fun p -> arr.(p)) parent_pos in
                     Hashtbl.replace table key
-                      (R.add contribution
-                         (Option.value ~default:R.zero (Hashtbl.find_opt table key)))
+                      (Bigint.add contribution
+                         (Option.value ~default:Bigint.zero (Hashtbl.find_opt table key)))
                   end)
                 tuples_i)
             !topo;
           let root_total =
-            Hashtbl.fold (fun _ c acc -> R.add acc c) tables.(0) R.zero
+            Hashtbl.fold (fun _ c acc -> Bigint.add acc c) tables.(0) Bigint.zero
           in
-          Some (R.mul root_total (R.pow (R.of_int n_db) isolated))
+          Some (Bigint.mul root_total (Bigint.pow (Bigint.of_int n_db) isolated))
         end
       end

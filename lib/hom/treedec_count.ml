@@ -12,13 +12,11 @@
 module Intset = Intset
 
 type plan = {
-  elems : int array; (* dense index -> element of A *)
   bags : int list array; (* bag index -> sorted dense element indices *)
   children : int list array;
   parent_itx : int list array; (* bag -> sorted dense indices shared with parent *)
   local_atoms : (string * int list) list array; (* bag -> atoms (name, dense tuple) *)
-  root : int;
-}
+}  (* rooted at bag 0 *)
 
 (** [make_plan a] computes a tree decomposition of the Gaifman graph of [a]
     (exact for small queries, heuristic otherwise), roots it, and assigns
@@ -89,23 +87,19 @@ let make_plan (a : Structure.t) : plan =
           local_atoms.(bag) <- (name, dense) :: local_atoms.(bag))
         ts)
     (Structure.relations a);
-  { elems = old_of_new; bags; children; parent_itx; local_atoms; root = 0 }
+  { bags; children; parent_itx; local_atoms }
 
-(** [Make (R)] instantiates the dynamic program over a counting semiring;
-    [R = Semiring.Int] gives the fast native path, [Semiring.Big] the exact
-    arbitrary-precision path used by the Theorem 28 solver. *)
-module Make (R : Semiring.S) = struct
-(** [count a d] is [hom(A -> D)], computed in time roughly
-    [|bags| * |U(D)|^{tw+1}]. *)
-let count (a : Structure.t) (d : Structure.t) : R.t =
+(** [count_big a d] is [hom(A -> D)] in exact arbitrary precision,
+    computed in time roughly [|bags| * |U(D)|^{tw+1}]. *)
+let count_big (a : Structure.t) (d : Structure.t) : Bigint.t =
   if not (Signature.subset (Structure.signature a) (Structure.signature d))
-  then R.zero
-  else if Structure.universe_size a = 0 then R.one
+  then Bigint.zero
+  else if Structure.universe_size a = 0 then Bigint.one
   else begin
     let plan = make_plan a in
     let domain = Array.of_list (Structure.universe d) in
     let nd = Array.length domain in
-    if nd = 0 then R.zero
+    if nd = 0 then Bigint.zero
     else begin
       let b = Array.length plan.bags in
       (* memoised relation membership *)
@@ -123,7 +117,7 @@ let count (a : Structure.t) (d : Structure.t) : R.t =
       in
       (* Bottom-up DP; table for bag i maps the value vector of
          [parent_itx.(i)] to the number of consistent subtree extensions. *)
-      let tables : (int list, R.t) Hashtbl.t array =
+      let tables : (int list, Bigint.t) Hashtbl.t array =
         Array.init b (fun _ -> Hashtbl.create 64)
       in
       let rec process (i : int) : unit =
@@ -166,20 +160,20 @@ let count (a : Structure.t) (d : Structure.t) : R.t =
             let contribution =
               List.fold_left
                 (fun acc (ctable, itx) ->
-                  if R.is_zero acc then acc
+                  if Bigint.is_zero acc then acc
                   else begin
                     let key = List.map (Hashtbl.find assignment) itx in
                     match Hashtbl.find_opt ctable key with
-                    | None -> R.zero
-                    | Some c -> R.mul acc c
+                    | None -> Bigint.zero
+                    | Some c -> Bigint.mul acc c
                   end)
-                R.one child_info
+                Bigint.one child_info
             in
-            if not (R.is_zero contribution) then begin
+            if not (Bigint.is_zero contribution) then begin
               let key = List.map (Hashtbl.find assignment) plan.parent_itx.(i) in
               Hashtbl.replace table key
-                (R.add contribution
-                   (Option.value ~default:R.zero (Hashtbl.find_opt table key)))
+                (Bigint.add contribution
+                   (Option.value ~default:Bigint.zero (Hashtbl.find_opt table key)))
             end
           end
         in
@@ -188,9 +182,9 @@ let count (a : Structure.t) (d : Structure.t) : R.t =
           let contribution =
             List.fold_left
               (fun acc (ctable, _) ->
-                R.mul acc
-                  (Option.value ~default:R.zero (Hashtbl.find_opt ctable [])))
-              R.one child_info
+                Bigint.mul acc
+                  (Option.value ~default:Bigint.zero (Hashtbl.find_opt ctable [])))
+              Bigint.one child_info
           in
           Hashtbl.replace table [] contribution
         end
@@ -204,17 +198,7 @@ let count (a : Structure.t) (d : Structure.t) : R.t =
           done
         end
       in
-      process plan.root;
-      Hashtbl.fold (fun _ c acc -> R.add acc c) tables.(plan.root) R.zero
+      process 0;
+      Hashtbl.fold (fun _ c acc -> Bigint.add acc c) tables.(0) Bigint.zero
     end
   end
-end
-
-module I = Make (Semiring.Int)
-module B = Make (Semiring.Big)
-
-(** [count a d] is [hom(A -> D)] with native-integer arithmetic. *)
-let count : Structure.t -> Structure.t -> int = I.count
-
-(** [count_big a d] is [hom(A -> D)] with exact arbitrary precision. *)
-let count_big : Structure.t -> Structure.t -> Bigint.t = B.count

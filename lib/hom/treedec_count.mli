@@ -1,25 +1,9 @@
 (** Counting homomorphisms in [|U(D)|^(tw+1)] time by dynamic programming
     over a tree decomposition — the tractable side of Theorem 21 for
-    quantifier-free queries. *)
+    quantifier-free queries, in exact arithmetic. *)
 
-(** A compiled counting plan: rooted decomposition with atoms assigned to
-    covering bags (every atom spans a Gaifman clique, hence fits in a bag
-    by the Helly property). *)
-type plan
-
-(** [make_plan a] decomposes the Gaifman graph (exactly for small queries)
-    and assigns atoms to bags.
+(** [count_big a d] is [hom(A → D)] in exact arbitrary precision: the
+    count behind the tensor products of Theorem 28, and an oracle for
+    the engine of [lib/db].
     @raise Invalid_argument if the decomposition cannot cover an atom. *)
-val make_plan : Structure.t -> plan
-
-(** [Make (R)] instantiates the dynamic program over a semiring. *)
-module Make (R : Semiring.S) : sig
-  val count : Structure.t -> Structure.t -> R.t
-end
-
-(** [count a d] is [hom(A → D)] with native integers. *)
-val count : Structure.t -> Structure.t -> int
-
-(** [count_big a d] is the exact arbitrary-precision variant (used on the
-    tensor products of Theorem 28). *)
 val count_big : Structure.t -> Structure.t -> Bigint.t

@@ -119,8 +119,8 @@ let schedule_terms : Cq.t list Lazy.t =
        [] schedule_queries)
 
 let strategies =
-  Counting.[ ("auto", Auto); ("naive", Naive); ("yannakakis", Yannakakis); ("treedec", Treedec);
-             ("weighted", Weighted); ("varelim", Varelim) ]
+  Counting.[ ("auto", Auto); ("naive", Naive); ("yannakakis", Yannakakis); ("weighted", Weighted);
+             ("varelim", Varelim) ]
 
 (* One run under [budget]: the count or the refusal, and the steps done
    (at exhaustion, the steps the exception reports). *)

@@ -97,7 +97,8 @@ let test_exact_treewidth () =
     (fun (name, g, expected) ->
       let w, dec = Treewidth.exact g in
       Alcotest.(check int) name expected w;
-      Alcotest.(check bool) (name ^ " decomposition valid") true (Treedec.validate g dec))
+      Alcotest.(check bool) (name ^ " decomposition valid") true (Treedec.validate g dec);
+      Alcotest.(check int) (name ^ " decomposition width") expected (Treedec.width dec))
     known_treewidths
 
 let test_heuristics_and_bounds () =
@@ -149,15 +150,6 @@ let test_heuristic_on_larger_graph () =
   Alcotest.(check bool) "valid" true (Treedec.validate g dec);
   Alcotest.(check bool) "lb <= ub" true (Treewidth.lower_bound g <= ub)
 
-let test_nice_treedec () =
-  List.iter
-    (fun (name, g, expected_tw) ->
-      let _, dec = Treewidth.exact g in
-      let nice = Nice_treedec.of_treedec dec in
-      Alcotest.(check bool) (name ^ " nice valid") true (Nice_treedec.validate g nice);
-      Alcotest.(check int) (name ^ " nice width") expected_tw (Nice_treedec.width nice))
-    known_treewidths
-
 let test_graph_iso () =
   Alcotest.(check bool) "C5 ~ C5 relabelled" true
     (Graph_iso.isomorphic (Graph.cycle 5)
@@ -189,18 +181,13 @@ let qcheck_treewidth =
         let w, dec = Treewidth.exact g in
         let ub, hdec = Treewidth.heuristic g in
         let lb = Treewidth.lower_bound g in
-        Treedec.validate g dec && Treedec.validate g hdec && lb <= w && w <= ub);
+        Treedec.validate g dec && Treedec.width dec = w && Treedec.validate g hdec
+        && lb <= w && w <= ub);
     Test.make ~name:"elimination order decomposition always valid" ~count:60
       random_graph (fun (n, edges) ->
         let g = Graph.of_edges n edges in
         let order = Treewidth.heuristic_order Treewidth.Min_degree g in
         Treedec.validate g (Treedec.of_elimination_order g order));
-    Test.make ~name:"nice conversion is valid and width-preserving" ~count:60
-      random_graph (fun (n, edges) ->
-        let g = Graph.of_edges n edges in
-        let w, dec = Treewidth.exact g in
-        let nice = Nice_treedec.of_treedec dec in
-        Nice_treedec.validate g nice && Nice_treedec.width nice = max w (-1));
   ]
 
 let suite =
@@ -219,7 +206,6 @@ let suite =
         Alcotest.test_case "more known treewidths" `Quick test_known_treewidths_extra;
         Alcotest.test_case "heuristics on larger graphs" `Quick
           test_heuristic_on_larger_graph;
-        Alcotest.test_case "nice tree decompositions" `Quick test_nice_treedec;
         Alcotest.test_case "graph isomorphism" `Quick test_graph_iso;
       ]
       @ List.map QCheck_alcotest.to_alcotest qcheck_treewidth );

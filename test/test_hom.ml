@@ -93,7 +93,9 @@ let test_treedec_matches_naive () =
   let db = Generators.random_digraph ~seed:11 8 20 in
   List.iter
     (fun (name, q) ->
-      Alcotest.(check int) name (Hom.count q db) (Treedec_count.count q db))
+      Alcotest.(check string) name
+        (string_of_int (Hom.count q db))
+        (Bigint.to_string (Treedec_count.count_big q db)))
     [
       ("edge", path2);
       ("P3", path3);
@@ -102,12 +104,13 @@ let test_treedec_matches_naive () =
       ("empty", mk 3 []);
     ]
 
+(* the exact DP against the native-int engine of [lib/db] *)
 let test_big_counters_agree () =
   let db = Generators.random_digraph ~seed:13 9 24 in
   List.iter
     (fun q ->
       Alcotest.(check string) "big = int"
-        (string_of_int (Treedec_count.count q db))
+        (string_of_int (Counting.count (Cq.of_structure q) db))
         (Bigint.to_string (Treedec_count.count_big q db)))
     [ path3; triangle; cycle4 ]
 
@@ -128,7 +131,7 @@ let qcheck_counters =
       (pair gen_query gen_db) (fun ((n, edges), seed) ->
         let q = mk n edges in
         let db = Generators.random_digraph ~seed 6 12 in
-        Treedec_count.count q db = Hom.count q db);
+        Bigint.equal (Treedec_count.count_big q db) (Bigint.of_int (Hom.count q db)));
     Test.make ~name:"join-tree counter agrees when acyclic" ~count:80
       (pair gen_query gen_db) (fun ((n, edges), seed) ->
         let q = mk n edges in

@@ -83,9 +83,9 @@ let test_ktk_database_of_graph () =
   let with_triangle = Ktk.database_of_graph k33 (Graph.clique 3) in
   let without = Ktk.database_of_graph k33 (Graph.cycle 4) in
   Alcotest.(check bool) "triangle host has homs" true
-    (Treedec_count.count k33.Ktk.structure with_triangle > 0);
+    (Counting.count (Cq.of_structure k33.Ktk.structure) with_triangle > 0);
   Alcotest.(check int) "triangle-free host has none" 0
-    (Treedec_count.count k33.Ktk.structure without)
+    (Counting.count (Cq.of_structure k33.Ktk.structure) without)
 
 let test_ktk_hom_counts_exact () =
   (* two disjoint triangles in the host: 6 colour-preserving homs per
@@ -96,7 +96,7 @@ let test_ktk_hom_counts_exact () =
   in
   let db = Ktk.database_of_graph k33 host in
   Alcotest.(check int) "6 homs per triangle" 12
-    (Treedec_count.count k33.Ktk.structure db)
+    (Counting.count (Cq.of_structure k33.Ktk.structure) db)
 
 let test_lemma48_on_delta2 () =
   (* the vanishing side: Psi2 = A^_3(Delta2) *)

@@ -67,8 +67,8 @@ let () =
               | c -> if c <> naive then report "%s mismatch seed %d" name seed
               | exception Counting.Unsupported _ -> ())
             Counting.
-              [ ("AUTO", Auto); ("YANNAKAKIS", Yannakakis); ("TREEDEC", Treedec);
-                ("WEIGHTED", Weighted); ("VARELIM", Varelim) ];
+              [ ("AUTO", Auto); ("YANNAKAKIS", Yannakakis); ("WEIGHTED", Weighted);
+                ("VARELIM", Varelim) ];
           if Bigint.to_int_opt (Counting.count_big q db) <> Some naive then
             report "BIG mismatch seed %d" seed
         done);
@@ -101,7 +101,8 @@ let () =
           if not (Sat_complex.euler_equals_count_sat f) then
             report "PARSIMONY FAIL seed %d" seed
         done);
-    (* treewidth: exact vs independent nice-width, on random graphs *)
+    (* treewidth: the exact decomposition is valid and witnesses its
+       width, on random graphs *)
     section "fuzz.treewidth" (fun () ->
         for seed = 0 to iters 300 do
           let st = Random.State.make [| seed |] in
@@ -111,11 +112,8 @@ let () =
             Graph.add_edge g (Random.State.int st n) (Random.State.int st n)
           done;
           let w, dec = Treewidth.exact g in
-          let nice = Nice_treedec.of_treedec dec in
-          if
-            (not (Nice_treedec.validate g nice))
-            || Nice_treedec.width nice <> max w (-1)
-          then report "NICE TD FAIL seed %d" seed;
+          if (not (Treedec.validate g dec)) || Treedec.width dec <> w then
+            report "EXACT TD FAIL seed %d" seed;
           if pool <> None && Treewidth.treewidth ?pool g <> w then
             report "PAR TW mismatch seed %d" seed
         done);
