@@ -24,7 +24,7 @@ type selection = { tier : t; reason : string }
 
 let max_disjuncts = 6
 
-let select ?(max_disjuncts : int = max_disjuncts) (psi : Ucq.t) : selection =
+let select (psi : Ucq.t) : selection =
   let l = Ucq.length psi in
   if l > max_disjuncts then
     {

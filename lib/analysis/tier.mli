@@ -38,6 +38,6 @@ type selection = { tier : t; reason : string }
     evaluated (mirrors the [UCQ207] lint gate). *)
 val max_disjuncts : int
 
-(** [select ?max_disjuncts psi] classifies [psi].  Pure and total;
-    exponential in the number of disjuncts below the gate. *)
-val select : ?max_disjuncts:int -> Ucq.t -> selection
+(** [select psi] classifies [psi].  Pure and total; exponential in the
+    number of disjuncts below the {!max_disjuncts} gate. *)
+val select : Ucq.t -> selection

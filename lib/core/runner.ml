@@ -72,7 +72,7 @@ let default_delta = 0.05
    cap the server's drift tracker uses). *)
 let plan_predict_cap = 200_000
 
-(** [count ?strategy ?via ?fallback ?optimize ?select ?epsilon ?delta
+(** [count ?via ?fallback ?optimize ?select ?epsilon ?delta
     ?seed ~budget psi d] counts [ans(Ψ → D)] exactly (via the CQ
     expansion by default) under [budget].  On exhaustion, when
     [fallback] (default [true]), it degrades to the un-budgeted
@@ -91,7 +91,7 @@ let plan_predict_cap = 200_000
     Karp–Luby without sinking the budget into a doomed exact attempt.
     Selection only ever skips work — a wrong [Exact] verdict still
     degrades normally on exhaustion. *)
-let count ?strategy ?(via = Expansion) ?(fallback = true)
+let count ?(via = Expansion) ?(fallback = true)
     ?(optimize = false) ?(select = false) ?(epsilon = default_epsilon)
     ?(delta = default_delta) ?seed ?(pool : Pool.t option)
     ~(budget : Budget.t) (psi : Ucq.t) (d : Structure.t) :
@@ -145,12 +145,12 @@ let count ?strategy ?(via = Expansion) ?(fallback = true)
                exactly what expanding again would tick, and evaluate
                its support *)
             Budget.ticks budget p.Plan.expansion_steps;
-            Ucq.count_terms ?strategy ~budget ?pool ?term_cost
+            Ucq.count_terms ~budget ?pool ?term_cost
               p.Plan.support_terms d
         | None ->
-            Ucq.count_via_expansion ?strategy ~budget ?pool ?term_cost psi d)
+            Ucq.count_via_expansion ~budget ?pool ?term_cost psi d)
     | Inclusion_exclusion ->
-        Ucq.count_inclusion_exclusion ?strategy ~budget ?pool psi d
+        Ucq.count_inclusion_exclusion ~budget ?pool psi d
     | Naive -> Ucq.count_naive ~budget ?pool psi d
   in
   let estimate ~exhausted ~abandoned =

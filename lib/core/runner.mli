@@ -56,7 +56,7 @@ val default_epsilon : float
 val default_delta : float
 (** [0.05] — failure probability of the degraded estimate. *)
 
-(** [count ?strategy ?via ?fallback ?optimize ?select ?epsilon ?delta
+(** [count ?via ?fallback ?optimize ?select ?epsilon ?delta
     ?seed ~budget psi d] counts [ans(Ψ → D)] exactly under [budget],
     degrading to a Karp–Luby estimate on exhaustion (unless
     [fallback = false]).
@@ -72,7 +72,6 @@ val default_delta : float
     built, charging its metered expansion steps to [budget], instead of
     expanding a second time. *)
 val count :
-  ?strategy:Counting.strategy ->
   ?via:count_method ->
   ?fallback:bool ->
   ?optimize:bool ->

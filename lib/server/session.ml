@@ -66,10 +66,13 @@ let optimized (s : t) (e : Cache.entry) : Optimize.report =
         Telemetry.add c_atoms (Optimize.atoms_removed r);
         let after = try_cost s r.Optimize.optimized in
         e.Cache.plan_cost <- Some after;
-        match (try_cost s r.Optimize.original, after) with
-        | Some before, Some after ->
-            Telemetry.set_gauge g_cost_delta (before -. after)
-        | _ -> ()
+        (* the original's plan feeds only the gauge, which drops the
+           value when telemetry is off *)
+        if Telemetry.enabled () then
+          match (try_cost s r.Optimize.original, after) with
+          | Some before, Some after ->
+              Telemetry.set_gauge g_cost_delta (before -. after)
+          | _ -> ()
       end;
       e.Cache.optimized <- Some r;
       r

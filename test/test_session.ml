@@ -1,6 +1,7 @@
 (** Tests for the live-update session behind [ucqc watch] and [ucqc
     serve]: the one-budget-per-change fold policy, one entry and one
-    state for two spellings of a query, and a qcheck oracle that drives
+    state for two spellings of a query, the plan costs a rewrite
+    records, and a qcheck oracle that drives
     an eagerly registering (watch-style) and a lazily registering
     (serve-style) session through random batches, valid and invalid,
     against from-scratch recounts. *)
@@ -226,6 +227,45 @@ let oracle_run (seed : int) : bool =
   done;
   true
 
+(* ------------------------------------------------------------------ *)
+(* Rewrite profiling                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* The optimized query's plan cost seeds [plan_cost] whether telemetry
+   is on or off; with it on, the predicted-cost gauge reads the
+   original's cost minus the optimized query's. *)
+let test_rewrite_cost_gauge () =
+  let db = golden_db () in
+  let cost q =
+    Plan.try_cost ~db_elems:(Structure.universe_size db)
+      ~db_tuples:(Structure.num_tuples db) q
+  in
+  let rewrite () =
+    let s = open_session ~optimize:true db in
+    let e = entry s "(x, y) :- E(x, y) ; E(x, y), E(y, z) ; E(x, z), E(z, y)" in
+    let r = Session.optimized s e in
+    Alcotest.(check bool) "rewritten" true r.Optimize.changed;
+    Alcotest.(check (option (float 0.))) "plan_cost is the optimized query's"
+      (cost r.Optimize.optimized) (Session.plan_cost s e);
+    r
+  in
+  ignore (rewrite () : Optimize.report);
+  Telemetry.reset ();
+  Telemetry.enable ();
+  Fun.protect
+    ~finally:(fun () ->
+      Telemetry.disable ();
+      Telemetry.reset ())
+    (fun () ->
+      let r = rewrite () in
+      match (cost r.Optimize.original, cost r.Optimize.optimized) with
+      | Some before, Some after ->
+          Alcotest.(check bool) "the rewrite changes the cost" true (before <> after);
+          Alcotest.(check (option (float 0.))) "gauge" (Some (before -. after))
+            (List.assoc_opt "session.optimize.predicted_cost_delta"
+               (Telemetry.gauges_snapshot ()))
+      | _ -> Alcotest.fail "both queries are predicted")
+
 let qcheck_oracle =
   QCheck.Test.make ~name:"eager and lazy sessions match recounts" ~count:25
     (QCheck.int_range 0 10_000) oracle_run
@@ -238,6 +278,7 @@ let suite =
           test_fold_budget_per_change;
         Alcotest.test_case "spellings share one state" `Quick
           test_spellings_share_state;
+        Alcotest.test_case "rewrite cost gauge" `Quick test_rewrite_cost_gauge;
         QCheck_alcotest.to_alcotest qcheck_oracle;
       ] );
   ]
