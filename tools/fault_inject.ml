@@ -24,103 +24,13 @@
     [--bin PATH] overrides the server binary (default
     [_build/default/bin/ucqc_cli.exe]). *)
 
-let bin = ref "_build/default/bin/ucqc_cli.exe"
-let db_file = ref "data/example_db.facts"
+open Live
+
 let query_file = ref "data/example_query.ucq"
-
-let failures = ref 0
-
-let report fmt =
-  Printf.ksprintf
-    (fun msg ->
-      incr failures;
-      Printf.printf "FAIL: %s\n%!" msg)
-    fmt
-
-let section name f =
-  Printf.printf "== %s\n%!" name;
-  try f ()
-  with e ->
-    report "%s: harness exception %s" name (Printexc.to_string e)
-
-let read_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  s
 
 (* ------------------------------------------------------------------ *)
 (* Server lifecycle                                                   *)
 (* ------------------------------------------------------------------ *)
-
-type server = { pid : int; sock : string; log : string }
-
-let mkdtemp () =
-  let base =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "ucqc-fault-%d" (Unix.getpid ()))
-  in
-  let rec try_n i =
-    let d = Printf.sprintf "%s-%d" base i in
-    match Unix.mkdir d 0o700 with
-    | () -> d
-    | exception Unix.Unix_error (Unix.EEXIST, _, _) when i < 100 ->
-        try_n (i + 1)
-  in
-  try_n 0
-
-let tmp = ref ""
-
-let start_server ?(name = "main") ?(extra = []) () : server =
-  let sock = Filename.concat !tmp (name ^ ".sock") in
-  let log = Filename.concat !tmp (name ^ ".log") in
-  let argv =
-    Array.of_list
-      ([ !bin; "serve"; !db_file; "--socket"; sock ] @ extra)
-  in
-  let logfd =
-    Unix.openfile log [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o600
-  in
-  let null = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
-  let pid = Unix.create_process !bin argv null logfd logfd in
-  Unix.close logfd;
-  Unix.close null;
-  (* wait until the socket accepts *)
-  let deadline = Unix.gettimeofday () +. 10. in
-  let rec wait () =
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    match Unix.connect fd (Unix.ADDR_UNIX sock) with
-    | () -> Unix.close fd
-    | exception _ ->
-        Unix.close fd;
-        if Unix.gettimeofday () > deadline then
-          failwith (Printf.sprintf "server %s did not come up; log: %s" name
-                      (try read_file log with _ -> "<unreadable>"))
-        else begin
-          Unix.sleepf 0.05;
-          wait ()
-        end
-  in
-  wait ();
-  { pid; sock; log }
-
-(* waitpid with a deadline; returns the exit status or None on timeout *)
-let wait_exit (s : server) ~(deadline_s : float) : Unix.process_status option
-    =
-  let deadline = Unix.gettimeofday () +. deadline_s in
-  let rec poll () =
-    match Unix.waitpid [ Unix.WNOHANG ] s.pid with
-    | 0, _ ->
-        if Unix.gettimeofday () > deadline then None
-        else begin
-          Unix.sleepf 0.05;
-          poll ()
-        end
-    | _, status -> Some status
-  in
-  poll ()
 
 let stop_server ?(signal = Sys.sigterm) ?(expect = 0) (s : server) : unit =
   (try Unix.kill s.pid signal with _ -> ());
@@ -149,84 +59,12 @@ let alive (s : server) : bool =
 (* Client plumbing                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let connect (s : server) : Unix.file_descr =
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_UNIX s.sock);
-  fd
-
-let send_all (fd : Unix.file_descr) (data : string) : unit =
-  let len = String.length data in
-  let pos = ref 0 in
-  while !pos < len do
-    pos := !pos + Unix.write_substring fd data !pos (len - !pos)
-  done
-
-(* Read newline-terminated frames until [n] arrived, EOF, or deadline. *)
-let recv_lines ?(deadline_s = 15.) (fd : Unix.file_descr) (n : int) :
-    string list =
-  let deadline = Unix.gettimeofday () +. deadline_s in
-  let buf = Buffer.create 4096 in
-  let chunk = Bytes.create 4096 in
-  let count_lines () =
-    String.fold_left
-      (fun acc c -> if c = '\n' then acc + 1 else acc)
-      0 (Buffer.contents buf)
-  in
-  (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO 0.25 with _ -> ());
-  let rec loop () =
-    if count_lines () >= n || Unix.gettimeofday () > deadline then ()
-    else
-      match Unix.read fd chunk 0 (Bytes.length chunk) with
-      | 0 -> ()
-      | r ->
-          Buffer.add_subbytes buf chunk 0 r;
-          loop ()
-      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) ->
-          loop ()
-      | exception _ -> ()
-  in
-  loop ();
-  Buffer.contents buf |> String.split_on_char '\n'
-  |> List.filter (fun l -> l <> "")
-
-(* Build a request line with correct JSON escaping. *)
-let req (fields : (string * Trace_json.t) list) : string =
-  Trace_json.to_string (Trace_json.Obj fields) ^ "\n"
-
 let num f = Trace_json.Num f
-
-let parse_response (line : string) : Trace_json.t option =
-  match Trace_json.parse line with
-  | v -> Some v
-  | exception _ -> None
-
-let mem k v = Trace_json.member k v
-
-let str_of = function Some (Trace_json.Str s) -> Some s | _ -> None
-let num_of = function Some (Trace_json.Num f) -> Some f | _ -> None
 
 let status_of (v : Trace_json.t) : string =
   Option.value ~default:"<missing>" (str_of (mem "status" v))
 
 let id_of (v : Trace_json.t) : float option = num_of (mem "id" v)
-
-(* One request/response exchange on a fresh connection. *)
-let roundtrip (s : server) (lines : string list) ~(expect : int) :
-    Trace_json.t list =
-  let fd = connect s in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with _ -> ())
-    (fun () ->
-      send_all fd (String.concat "" lines);
-      let raw = recv_lines fd expect in
-      List.filter_map
-        (fun line ->
-          match parse_response line with
-          | Some v -> Some v
-          | None ->
-              report "response is not JSON: %S" line;
-              None)
-        raw)
 
 (* Well-formedness every response must satisfy. *)
 let check_response_shape (v : Trace_json.t) : unit =
@@ -1090,12 +928,8 @@ let () =
         exit 64
   in
   parse_args (List.tl (Array.to_list Sys.argv));
-  if not (Sys.file_exists !bin) then begin
-    Printf.eprintf "fault_inject: server binary %s not found (build first)\n"
-      !bin;
-    exit 64
-  end;
-  tmp := mkdtemp ();
+  exit_if_no_bin "fault_inject";
+  tmp := mkdtemp "fault";
   let trace = Filename.concat !tmp "serve.trace.json" in
   let metrics = Filename.concat !tmp "serve.metrics.json" in
   let s =
@@ -1135,12 +969,4 @@ let () =
   scenario_update_drain sd;
   db_file := old_db;
   scenario_watch_smoke ();
-  if !failures = 0 then begin
-    Printf.printf "fault_inject: all scenarios passed\n";
-    exit 0
-  end
-  else begin
-    Printf.printf "fault_inject: %d failure%s\n" !failures
-      (if !failures = 1 then "" else "s");
-    exit 1
-  end
+  finish "fault_inject" ~what:"scenarios"

@@ -21,31 +21,9 @@
     [--bin PATH] overrides the server binary; [--out DIR] keeps every
     scraped exposition as files (the CI artifact). *)
 
-let bin = ref "_build/default/bin/ucqc_cli.exe"
-let db_file = ref "data/example_db.facts"
+open Live
+
 let out_dir : string option ref = ref None
-
-let failures = ref 0
-
-let report fmt =
-  Printf.ksprintf
-    (fun msg ->
-      incr failures;
-      Printf.printf "FAIL: %s\n%!" msg)
-    fmt
-
-let section name f =
-  Printf.printf "== %s\n%!" name;
-  try f ()
-  with e ->
-    report "%s: harness exception %s" name (Printexc.to_string e)
-
-let read_file path =
-  let ic = open_in_bin path in
-  let len = in_channel_length ic in
-  let s = really_input_string ic len in
-  close_in ic;
-  s
 
 let save name contents =
   match !out_dir with
@@ -59,31 +37,13 @@ let save name contents =
 (* Server lifecycle                                                   *)
 (* ------------------------------------------------------------------ *)
 
-type server = {
-  pid : int;
-  sock : string;
-  log : string;
+(* the live server plus the ops-plane port and the logs it writes *)
+type obs_server = {
+  srv : server;
   mport : int;
   access_log : string;
   slow_log : string;
 }
-
-let mkdtemp () =
-  let base =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "ucqc-obs-%d" (Unix.getpid ()))
-  in
-  let rec try_n i =
-    let d = Printf.sprintf "%s-%d" base i in
-    match Unix.mkdir d 0o700 with
-    | () -> d
-    | exception Unix.Unix_error (Unix.EEXIST, _, _) when i < 100 ->
-        try_n (i + 1)
-  in
-  try_n 0
-
-let tmp = ref ""
 
 (* The CLI announces the actual gateway port on stderr:
    "ucqc: metrics on http://HOST:PORT/metrics" — the contract that makes
@@ -113,48 +73,23 @@ let parse_metrics_port (log_text : string) : int option =
           done;
           int_of_string_opt (Buffer.contents digits))
 
-let start_server ?(extra = []) () : server =
-  let sock = Filename.concat !tmp "obs.sock" in
-  let log = Filename.concat !tmp "obs.log" in
+let start_obs_server ?(extra = []) () : obs_server =
   let access_log = Filename.concat !tmp "access.jsonl" in
   let slow_log = Filename.concat !tmp "slow.jsonl" in
-  let argv =
-    Array.of_list
-      ([
-         !bin; "serve"; !db_file;
-         "--socket"; sock;
-         "--metrics-addr"; "127.0.0.1:0";
-         "--access-log"; access_log;
-         "--slow-query-log"; slow_log;
-       ]
-      @ extra)
+  let srv =
+    start_server ~name:"obs"
+      ~extra:
+        ([
+           "--metrics-addr"; "127.0.0.1:0";
+           "--access-log"; access_log;
+           "--slow-query-log"; slow_log;
+         ]
+        @ extra)
+      ()
   in
-  let logfd =
-    Unix.openfile log [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o600
-  in
-  let null = Unix.openfile "/dev/null" [ Unix.O_RDONLY ] 0 in
-  let pid = Unix.create_process !bin argv null logfd logfd in
-  Unix.close logfd;
-  Unix.close null;
   let deadline = Unix.gettimeofday () +. 10. in
-  let rec wait_sock () =
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    match Unix.connect fd (Unix.ADDR_UNIX sock) with
-    | () -> Unix.close fd
-    | exception _ ->
-        Unix.close fd;
-        if Unix.gettimeofday () > deadline then
-          failwith
-            (Printf.sprintf "server did not come up; log: %s"
-               (try read_file log with _ -> "<unreadable>"))
-        else begin
-          Unix.sleepf 0.05;
-          wait_sock ()
-        end
-  in
-  wait_sock ();
   let rec wait_port () =
-    match parse_metrics_port (try read_file log with _ -> "") with
+    match parse_metrics_port (try read_file srv.log with _ -> "") with
     | Some p -> p
     | None ->
         if Unix.gettimeofday () > deadline then
@@ -165,84 +100,11 @@ let start_server ?(extra = []) () : server =
         end
   in
   let mport = wait_port () in
-  { pid; sock; log; mport; access_log; slow_log }
-
-let wait_exit (s : server) ~(deadline_s : float) : Unix.process_status option
-    =
-  let deadline = Unix.gettimeofday () +. deadline_s in
-  let rec poll () =
-    match Unix.waitpid [ Unix.WNOHANG ] s.pid with
-    | 0, _ ->
-        if Unix.gettimeofday () > deadline then None
-        else begin
-          Unix.sleepf 0.05;
-          poll ()
-        end
-    | _, status -> Some status
-  in
-  poll ()
+  { srv; mport; access_log; slow_log }
 
 (* ------------------------------------------------------------------ *)
-(* Clients: NDJSON on the query plane, HTTP on the ops plane          *)
+(* Client: HTTP on the ops plane                                     *)
 (* ------------------------------------------------------------------ *)
-
-let send_all (fd : Unix.file_descr) (data : string) : unit =
-  let len = String.length data in
-  let pos = ref 0 in
-  while !pos < len do
-    pos := !pos + Unix.write_substring fd data !pos (len - !pos)
-  done
-
-let recv_lines ?(deadline_s = 20.) (fd : Unix.file_descr) (n : int) :
-    string list =
-  let deadline = Unix.gettimeofday () +. deadline_s in
-  let buf = Buffer.create 4096 in
-  let chunk = Bytes.create 4096 in
-  let count_lines () =
-    String.fold_left
-      (fun acc c -> if c = '\n' then acc + 1 else acc)
-      0 (Buffer.contents buf)
-  in
-  (try Unix.setsockopt_float fd Unix.SO_RCVTIMEO 0.25 with _ -> ());
-  let rec loop () =
-    if count_lines () >= n || Unix.gettimeofday () > deadline then ()
-    else
-      match Unix.read fd chunk 0 (Bytes.length chunk) with
-      | 0 -> ()
-      | r ->
-          Buffer.add_subbytes buf chunk 0 r;
-          loop ()
-      | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) ->
-          loop ()
-      | exception _ -> ()
-  in
-  loop ();
-  Buffer.contents buf |> String.split_on_char '\n'
-  |> List.filter (fun l -> l <> "")
-
-let roundtrip (s : server) (lines : string list) ~(expect : int) :
-    Trace_json.t list =
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.connect fd (Unix.ADDR_UNIX s.sock);
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with _ -> ())
-    (fun () ->
-      send_all fd (String.concat "" lines);
-      List.filter_map
-        (fun line ->
-          match Trace_json.parse line with
-          | v -> Some v
-          | exception _ ->
-              report "response is not JSON: %S" line;
-              None)
-        (recv_lines fd expect))
-
-let req (fields : (string * Trace_json.t) list) : string =
-  Trace_json.to_string (Trace_json.Obj fields) ^ "\n"
-
-let str_of = function Some (Trace_json.Str s) -> Some s | _ -> None
-let num_of = function Some (Trace_json.Num f) -> Some f | _ -> None
-let mem k v = Trace_json.member k v
 
 (* One HTTP GET against the gateway; the reply is (status, headers,
    body).  The gateway closes after every response, so read to EOF. *)
@@ -292,7 +154,7 @@ let http_get (port : int) (target : string) : (int * string * string, string) re
           in
           Ok (status, head, body))
 
-let scrape (s : server) ~(name : string) : Prometheus.sample list =
+let scrape (s : obs_server) ~(name : string) : Prometheus.sample list =
   match http_get s.mport "/metrics" with
   | Error msg ->
       report "scrape %s: %s" name msg;
@@ -360,7 +222,7 @@ let check_monotone ~(from_name : string) ~(to_name : string)
                 s.Prometheus.sname s.Prometheus.svalue v from_name to_name)
     before
 
-let check_health (s : server) ~(expect : int) ~(what : string) : unit =
+let check_health (s : obs_server) ~(expect : int) ~(what : string) : unit =
   match http_get s.mport "/healthz" with
   | Error msg -> report "healthz (%s): %s" what msg
   | Ok (status, _, _) ->
@@ -374,7 +236,7 @@ let mispredicted_query =
   "(a, b, c, d, e, f, g, h, i) :- E(a, b), E(c, d), E(e, f), E(g, h), E(i, \
    a)"
 
-let drive_load (s : server) : string option =
+let drive_load (s : obs_server) : string option =
   let quick = "(x) :- E(x, y)" in
   let mk id fields =
     req
@@ -394,7 +256,7 @@ let drive_load (s : server) : string option =
           ];
       ]
   in
-  let resps = roundtrip s lines ~expect:(List.length lines) in
+  let resps = roundtrip ~deadline_s:20. s.srv lines ~expect:(List.length lines) in
   if List.length resps <> List.length lines then
     report "load: %d responses for %d requests" (List.length resps)
       (List.length lines);
@@ -418,7 +280,7 @@ let drive_load (s : server) : string option =
       if rid = None then report "mispredicted response lacks request_id";
       rid
 
-let check_slow_log (s : server) (rid : string option) : unit =
+let check_slow_log (s : obs_server) (rid : string option) : unit =
   match rid with
   | None -> ()
   | Some rid -> (
@@ -453,7 +315,7 @@ let check_slow_log (s : server) (rid : string option) : unit =
             report "slow-log entry carries no lint codes for a query the \
                     analyzer flags")
 
-let check_access_log (s : server) : unit =
+let check_access_log (s : obs_server) : unit =
   let text = try read_file s.access_log with _ -> "" in
   save "access.jsonl" text;
   let lines =
@@ -494,17 +356,13 @@ let () =
         exit 64
   in
   parse_args (List.tl (Array.to_list Sys.argv));
-  if not (Sys.file_exists !bin) then begin
-    Printf.eprintf "obs_check: server binary %s not found (build first)\n"
-      !bin;
-    exit 64
-  end;
+  exit_if_no_bin "obs_check";
   (match !out_dir with
   | Some d when not (Sys.file_exists d) -> Unix.mkdir d 0o755
   | _ -> ());
-  tmp := mkdtemp ();
+  tmp := mkdtemp "obs";
   let s =
-    start_server
+    start_obs_server
       ~extra:
         [ "--request-timeout"; "10"; "--drain-deadline"; "3"; "--slow-factor";
           "8" ]
@@ -559,8 +417,7 @@ let () =
   section "SIGTERM drain: healthz flips, exit 0" (fun () ->
       (* pin the evaluator so the drain window is observable: a naive
          sweep over 11 variables outlasts the 3 s drain deadline *)
-      let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-      Unix.connect fd (Unix.ADDR_UNIX s.sock);
+      let fd = connect s.srv in
       send_all fd
         (req
            [
@@ -573,7 +430,7 @@ let () =
              ("id", Trace_json.Num 400.);
            ]);
       Unix.sleepf 0.3;
-      Unix.kill s.pid Sys.sigterm;
+      Unix.kill s.srv.pid Sys.sigterm;
       (* the drain flag is set in the signal handler, so the flip must
          be prompt even though the evaluator is pinned *)
       let deadline = Unix.gettimeofday () +. 2. in
@@ -594,30 +451,22 @@ let () =
       | Some 1. -> ()
       | _ -> report "ucqc_draining not 1 during the drain");
       (try Unix.close fd with _ -> ());
-      (match wait_exit s ~deadline_s:15. with
+      (match wait_exit s.srv ~deadline_s:15. with
       | Some (Unix.WEXITED 0) -> ()
       | Some (Unix.WEXITED c) ->
           report "server exited %d after SIGTERM, expected 0" c;
           Printf.printf "server log:\n%s\n"
-            (try read_file s.log with _ -> "<unreadable>")
+            (try read_file s.srv.log with _ -> "<unreadable>")
       | Some (Unix.WSIGNALED sg) -> report "server killed by signal %d" sg
       | Some (Unix.WSTOPPED _) -> report "server stopped unexpectedly"
       | None ->
           report "server did not exit within 15 s of SIGTERM";
-          (try Unix.kill s.pid Sys.sigkill with _ -> ());
-          ignore (try Unix.waitpid [] s.pid with _ -> (0, Unix.WEXITED 0)));
+          (try Unix.kill s.srv.pid Sys.sigkill with _ -> ());
+          ignore (try Unix.waitpid [] s.srv.pid with _ -> (0, Unix.WEXITED 0)));
       (* the gateway goes down last — after the drain it must be gone *)
       match http_get s.mport "/healthz" with
       | Error _ -> ()
       | Ok (st, _, _) ->
           report "gateway still answering (HTTP %d) after exit" st);
 
-  if !failures = 0 then begin
-    Printf.printf "obs_check: all checks passed\n";
-    exit 0
-  end
-  else begin
-    Printf.printf "obs_check: %d failure%s\n" !failures
-      (if !failures = 1 then "" else "s");
-    exit 1
-  end
+  finish "obs_check" ~what:"checks"
