@@ -6,7 +6,8 @@
     [BENCH_parallel.json], then the E19 optimizer-effect table and
     writes [BENCH_optimize.json], then the E20 expansion table and
     writes [BENCH_expansion.json], then the E21 per-term engine table and
-    writes [BENCH_engine.json].
+    writes [BENCH_engine.json], then the E22 tier-B fold table and writes
+    [BENCH_delta.json].
 
     Run with: [dune exec bench/main.exe] *)
 
@@ -1190,12 +1191,157 @@ let engine_json () =
   close_out oc;
   prerr_endline "wrote BENCH_engine.json"
 
+(* ================================================================== *)
+(* E22: --json — tier-B folds against full counts (BENCH_delta.json)  *)
+(* ================================================================== *)
+
+(** The E22 table: the tier-B terms of serve_live_mix's two maintained
+    queries on its database (2500 nodes, 9000 edges, seed 1, rebuilt by
+    {!zipf_digraph}), folded through four writes in turn: a hub insert
+    (an edge from a low-degree node into the node of 13th most
+    out-edges, as the workload's hub), its delete, an insert between two
+    low-degree nodes and its delete; every low-degree node written has
+    the edge that makes the 2-hop count move.  Per term: the steps of
+    the full count that prepared it; per write, the steps its fold
+    metered, whether the guard replaced the fold by a recount, the
+    maintained count and a recount over the database after the write
+    (all deterministic), and each state's fold wall time (median of
+    three single runs, informational).
+    [tools/bench_check.exe] holds every maintained count to its
+    recount, lets no guard fire, and every fold under its term's full
+    count. *)
+let delta_json () =
+  let db = zipf_digraph ~seed:1 2500 9000 in
+  let edges = Structure.relation db "E" in
+  let n = Structure.universe_size db in
+  let deg_out = Array.make n 0 and deg_in = Array.make n 0 in
+  List.iter
+    (function
+      | [ u; v ] ->
+          deg_out.(u) <- deg_out.(u) + 1;
+          deg_in.(v) <- deg_in.(v) + 1
+      | _ -> ())
+    edges;
+  let by_out = List.stable_sort (fun u v -> compare deg_out.(v) deg_out.(u)) (List.init n Fun.id) in
+  let hub = List.nth by_out 12 in
+  (* low-degree nodes with an edge where the writes below make one count *)
+  let low = List.filter (fun x -> deg_in.(x) <= 2 && deg_out.(x) <= 2 && x <> hub) (List.init n Fun.id) in
+  let absent u v = not (List.mem [ u; v ] edges) in
+  let u = List.find (fun u -> deg_in.(u) > 0 && absent u hub) low in
+  let a = List.find (fun a -> a <> u && deg_in.(a) > 0) low in
+  let b = List.find (fun b -> b <> u && b <> a && deg_out.(b) > 0 && absent a b) low in
+  let writes =
+    [
+      ("hub insert", `Insert, [ u; hub ]);
+      ("hub delete", `Delete, [ u; hub ]);
+      ("low-degree insert", `Insert, [ a; b ]);
+      ("low-degree delete", `Delete, [ a; b ]);
+    ]
+  in
+  let queries = [ "(x, z) :- E(x, y), E(y, z)"; "(x) :- E(x, y), R(y) ; E(x, y), E(y, x)" ] in
+  let session = Delta.open_db db in
+  let states = List.map (fun q -> (q, Delta.prepare (fst (Parse.ucq q)) session)) queries in
+  List.iter
+    (fun (q, st) -> if Delta.effective_tier st <> Tier.B then failwith ("E22: not on tier B: " ^ q))
+    states;
+  let prepared = List.map (fun (_, st) -> Delta.terms st) states in
+  (* the median wall time of folding [r] into three fresh states of [psi]
+     over its before-database *)
+  let fold_ms psi (r : Delta.applied) =
+    let one () =
+      let st = Delta.prepare psi (Delta.open_db r.Delta.before) in
+      let t0 = Unix.gettimeofday () in
+      Delta.apply_state st (Delta.open_db r.Delta.after) { r with Delta.epoch = 1 };
+      Unix.gettimeofday () -. t0
+    in
+    1000. *. List.nth (List.sort compare [ one (); one (); one () ]) 1
+  in
+  (* per write: its name and text, and per state the terms after its
+     fold, each with whether the guard recounted it and a recount, and
+     the fold's wall time *)
+  let folds =
+    List.map
+      (fun (name, op, tuple) ->
+        let r =
+          match Delta.apply session { Delta.op; fact = { Delta.rel = "E"; tuple } } with
+          | Ok r when r.Delta.changed -> r
+          | _ -> failwith ("E22: the write changes nothing: " ^ name)
+        in
+        let text =
+          Printf.sprintf "%cE(%s)" (if op = `Insert then '+' else '-')
+            (String.concat ", " (List.map string_of_int tuple))
+        in
+        ( name,
+          text,
+          List.map
+            (fun (_, st) ->
+              let ms = fold_ms (Delta.query st) r in
+              let before = Delta.terms st in
+              Delta.apply_state ~budget:(Budget.unlimited ()) st session r;
+              let terms =
+                List.map2
+                  (fun (b : Delta.term_info) (t : Delta.term_info) ->
+                    ( t,
+                      t.Delta.recounts > b.Delta.recounts,
+                      Counting.count ~strategy:Counting.Varelim t.Delta.term r.Delta.after ))
+                  before (Delta.terms st)
+              in
+              (terms, ms))
+            states ))
+      writes
+  in
+  let rows =
+    List.concat
+      (List.mapi
+         (fun k (q, _) ->
+           List.mapi
+             (fun i (p : Delta.term_info) ->
+               let per_write =
+                 List.map
+                   (fun (name, text, per_state) ->
+                     let terms, ms = List.nth per_state k in
+                     let (t : Delta.term_info), guard, recount = List.nth terms i in
+                     Printf.printf
+                       "E22 %-40s %-34s %-18s fold=%d full=%d guard=%b count=%d recount=%d (state %.2f ms)\n%!"
+                       q (Pretty.cq p.Delta.term) name t.Delta.fold_steps p.Delta.full_steps guard
+                       t.Delta.count recount ms;
+                     Printf.sprintf
+                       "        {\"write\": %S, \"delta\": %S, \"fold_steps\": %d, \"guard\": %b, \
+                        \"count\": %d, \"recount\": %d, \"state_fold_ms\": %.3f}"
+                       name text t.Delta.fold_steps guard t.Delta.count recount ms)
+                   folds
+               in
+               Printf.sprintf
+                 "    {\"query\": %S, \"term\": %S, \"full_steps\": %d, \"full_count\": %d, \
+                  \"writes\": [\n%s\n    ]}"
+                 q (Pretty.cq p.Delta.term) p.Delta.full_steps p.Delta.count
+                 (String.concat ",\n" per_write))
+             (List.nth prepared k))
+         states)
+  in
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf "{\n  \"kind\": \"delta\",\n";
+  Buffer.add_string buf (Printf.sprintf "  \"git_commit\": %S,\n" (Buildid.git_commit ()));
+  Buffer.add_string buf
+    (Printf.sprintf
+       "  \"database\": {\"nodes\": 2500, \"edges\": 9000, \"seed\": 1, \"tuples\": %d, \"hub\": %d, \
+        \"hub_out_edges\": %d},\n"
+       (Structure.num_tuples db) hub deg_out.(hub));
+  Buffer.add_string buf "  \"terms\": [\n";
+  Buffer.add_string buf (String.concat ",\n" rows);
+  Buffer.add_string buf "\n  ]\n}\n";
+  let oc = open_out "BENCH_delta.json" in
+  output_string oc (Buffer.contents buf);
+  close_out oc;
+  prerr_endline "wrote BENCH_delta.json"
+
 let () =
   if Array.exists (( = ) "--json") Sys.argv then begin
     parallel_json ();
     optimize_json ();
     expansion_json ();
     engine_json ();
+    delta_json ();
     exit 0
   end;
   Printf.printf "ucqc benchmark harness — regenerating the paper's artefacts\n";

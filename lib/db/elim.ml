@@ -7,9 +7,17 @@
     eliminated one at a time.  An elimination joins the factors that
     mention the variable and groups the joined rows by the variables
     that remain, in one pass — a hash join fused with a hash group-by —
-    so a joined row is counted but never built.  See DESIGN.md §15. *)
+    so a joined row is counted but never built.
+
+    A term can also be evaluated under a {e restriction}: a flat table
+    over some of its variables.  Each atom's copy then keeps only the
+    rows that agree with the restriction on the variables they share (a
+    semijoin, done while copying), and the restriction joins the
+    elimination as one more factor.  See DESIGN.md §15. *)
 
 type order = Projecting | Summing | Acyclic
+
+type table = { cols : int array; rows : int; data : int array }
 
 (* A factor: [rows] distinct rows over the local variables [vars],
    row-major in [data]; [wt] holds the row weights, or is empty when
@@ -25,7 +33,7 @@ let weight (f : factor) (r : int) : int = if Array.length f.wt = 0 then 1 else f
 (* [intern] numbers distinct keys 0, 1, ... in first-seen order; key [i]
    is stored at [keys.(i * w ..)] and owns the accumulator [vals.(i)].
    Open addressing over [slots] (-1 = empty), at most half full. *)
-type table = {
+type keys = {
   w : int;
   mutable keys : int array;
   mutable vals : int array;
@@ -33,7 +41,7 @@ type table = {
   mutable slots : int array;
 }
 
-let create (w : int) (hint : int) : table =
+let create (w : int) (hint : int) : keys =
   let cap = ref 16 in
   while !cap < 2 * hint do cap := 2 * !cap done;
   { w; keys = Array.make (max 1 (w * hint)) 0; vals = Array.make (max 1 hint) 0; size = 0;
@@ -44,19 +52,19 @@ let hash (a : int array) (off : int) (w : int) : int =
   for j = off to off + w - 1 do h := (!h + a.(j)) * 0x2545F4914F6CDD1D done;
   !h lxor (!h lsr 29)
 
-let rec same (t : table) (buf : int array) (base : int) (j : int) : bool =
+let rec same (t : keys) (buf : int array) (base : int) (j : int) : bool =
   j = t.w || (t.keys.(base + j) = buf.(j) && same t buf base (j + 1))
 
-let rec probe_from (t : table) (buf : int array) (mask : int) (s : int) : int =
+let rec probe_from (t : keys) (buf : int array) (mask : int) (s : int) : int =
   let id = t.slots.(s) in
   if id < 0 || same t buf (id * t.w) 0 then s else probe_from t buf mask ((s + 1) land mask)
 
 (* The slot holding key [buf], or the empty slot where it would go. *)
-let probe (t : table) (buf : int array) : int =
+let probe (t : keys) (buf : int array) : int =
   let mask = Array.length t.slots - 1 in
   probe_from t buf mask (hash buf 0 t.w land mask)
 
-let find (t : table) (buf : int array) : int = t.slots.(probe t buf)
+let find (t : keys) (buf : int array) : int = t.slots.(probe t buf)
 
 let grow (a : int array) (need : int) : int array =
   if need <= Array.length a then a
@@ -66,7 +74,7 @@ let grow (a : int array) (need : int) : int array =
     b
   end
 
-let intern (t : table) (buf : int array) : int =
+let intern (t : keys) (buf : int array) : int =
   let s = probe t buf in
   if t.slots.(s) >= 0 then t.slots.(s)
   else begin
@@ -93,15 +101,19 @@ let intern (t : table) (buf : int array) : int =
 (* Join and group by, fused                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* [combine ~exists nv fs out] joins the factors [fs] and groups the
-   joined rows by the variables [out].  Weights multiply along a joined
-   row and add up per group; with [exists] every group weighs 1 (an
-   existential projection).  The largest factor drives; every other one
-   is indexed (keys interned, rows bucketed by key) on the variables
-   bound before it.  Returns the grouped factor and the number of joined
-   rows. *)
-let combine ~(exists : bool) (nv : int) (fs : factor list) (out : int array) : factor * int =
-  let fs = Array.of_list (List.stable_sort (fun f g -> compare g.rows f.rows) fs) in
+(* [combine ~exists ?tick nv fs out] joins the factors [fs] and groups
+   the joined rows by the variables [out].  Weights multiply along a
+   joined row and add up per group; with [exists] every group weighs 1
+   (an existential projection).  The first factor drives; every other
+   one is indexed (keys interned, rows bucketed by key) on the variables
+   bound before it.  With [tick], each joined row and each missed probe
+   (a partial row that no row of the next factor extends) is charged to
+   it as it is found.  Every partial row ends in one or the other, so
+   the charge times the number of factors bounds the join's probes.
+   Returns the grouped factor and the number of joined rows. *)
+let combine ~(exists : bool) ?(tick : Budget.t option) (nv : int) (fs : factor list) (out : int array) :
+    factor * int =
+  let fs = Array.of_list fs in
   let k = Array.length fs in
   let asg = Array.make nv 0 and bound = Array.make nv false in
   let buf = Array.make (max 1 nv) 0 in
@@ -136,6 +148,7 @@ let combine ~(exists : bool) (nv : int) (fs : factor list) (out : int array) : f
   let rec go i w =
     if i = k then begin
       incr joined;
+      Budget.tick_opt tick;
       for j = 0 to Array.length out - 1 do buf.(j) <- asg.(out.(j)) done;
       let id = intern g buf in
       g.vals.(id) <- (if exists then 1 else g.vals.(id) + w)
@@ -145,7 +158,8 @@ let combine ~(exists : bool) (nv : int) (fs : factor list) (out : int array) : f
       let a = Array.length f.vars in
       for j = 0 to Array.length key - 1 do buf.(j) <- asg.(f.vars.(key.(j))) done;
       let id = find t buf in
-      if id >= 0 then
+      if id < 0 then Budget.tick_opt tick
+      else
         for p = start.(id) to start.(id + 1) - 1 do
           let r = perm.(p) in
           for j = 0 to Array.length fresh - 1 do
@@ -162,6 +176,22 @@ let combine ~(exists : bool) (nv : int) (fs : factor list) (out : int array) : f
     go 1 (weight f0 r)
   done;
   ({ vars = out; rows = g.size; data = g.keys; wt = (if exists then [||] else g.vals) }, !joined)
+
+(* The largest factor drives a join. *)
+let by_rows (fs : factor list) : factor list = List.stable_sort (fun f g -> compare g.rows f.rows) fs
+
+(* A join order for [fs], after [lead] when given: each time the
+   smallest of the factors sharing a variable with those before it (of
+   all the rest when none does). *)
+let join_order ?(lead : factor option) (fs : factor list) : factor list =
+  let rec go bound acc = function
+    | [] -> List.rev acc
+    | rest ->
+        let linked = List.filter (fun f -> Array.exists (fun v -> List.mem v bound) f.vars) rest in
+        let f = Listx.min_by (fun f -> f.rows) (if linked = [] then rest else linked) in
+        go (Array.to_list f.vars @ bound) (f :: acc) (List.filter (( != ) f) rest)
+  in
+  match lead with None -> go [] [] fs | Some r -> r :: go (Array.to_list r.vars) [] fs
 
 (* ------------------------------------------------------------------ *)
 (* Elimination orders                                                 *)
@@ -180,12 +210,19 @@ let remaining_vars (v : int) (fs : factor list) : int array =
     [] fs
   |> Array.of_list
 
-(* [eliminate ?budget ~exists ~cost nv vars fs] eliminates [vars] one at
-   a time, next the remaining one of least [cost] (the first on ties),
-   charging [1 + |join|] steps each.  [None] when a grouped factor comes
-   out empty (the count is 0). *)
-let eliminate ?(budget : Budget.t option) ~(exists : bool) ~(cost : int -> factor list -> int)
-    (nv : int) (vars : int list) (fs : factor list) : factor list option =
+(* [eliminate ?budget ?restriction ~exists ~cost nv vars fs] eliminates
+   [vars] one at a time, next the remaining one of least [cost] (the
+   first on ties), charging [1 + |join|] steps each, the largest factor
+   driving.  Under a restriction a join runs in {!join_order} instead,
+   and charges 1 plus its joined rows and missed probes, as it finds
+   them, so a budget stops it part-way.  The restriction factor, while
+   it is one of [fs], leads every join it can enter: one on a variable
+   it mentions, or one whose grouped variables include all of its own.
+   [None] when a grouped factor comes out empty (the count is 0). *)
+let eliminate ?(budget : Budget.t option) ?(restriction : factor option) ~(exists : bool)
+    ~(cost : int -> factor list -> int) (nv : int) (vars : int list) (fs : factor list) :
+    factor list option =
+  let tick = if Option.is_some restriction then budget else None in
   let rec loop remaining fs =
     match remaining with
     | [] -> Some fs
@@ -195,8 +232,17 @@ let eliminate ?(budget : Budget.t option) ~(exists : bool) ~(cost : int -> facto
         match List.partition (mentions v) fs with
         | [], _ -> loop remaining fs
         | with_v, without ->
-            let g, joined = combine ~exists nv with_v (remaining_vars v with_v) in
-            Budget.ticks_opt budget (1 + joined);
+            let out = remaining_vars v with_v in
+            let joins, without =
+              match restriction with
+              | None -> (by_rows with_v, without)
+              | Some r when List.memq r with_v -> (join_order ~lead:r (List.filter (( != ) r) with_v), without)
+              | Some r when List.memq r without && Array.for_all (fun u -> Array.mem u out) r.vars ->
+                  (join_order ~lead:r with_v, List.filter (( != ) r) without)
+              | Some _ -> (join_order with_v, without)
+            in
+            let g, joined = combine ~exists ?tick nv joins out in
+            Budget.ticks_opt budget (if Option.is_some tick then 1 else 1 + joined);
             if g.rows = 0 then None else loop remaining (g :: without))
   in
   loop vars fs
@@ -225,12 +271,12 @@ let rec sum_out (nv : int) (fs : factor list) : int =
           let inside f = Option.map (fun g -> (f, g)) (List.find_opt (subsumed f) fs) in
           match List.find_map inside fs with
           | Some (f, g) ->
-              fst (combine ~exists:false nv [ g; f ] g.vars) :: List.filter (fun h -> h != g) (others f)
+              fst (combine ~exists:false nv (by_rows [ g; f ]) g.vars) :: List.filter (fun h -> h != g) (others f)
           | None ->
               let live = List.filter (fun v -> occ v > 0) (List.init nv Fun.id) in
               let v = Listx.min_by (fun v -> rows_with v fs) live in
               let with_v, without = List.partition (mentions v) fs in
-              fst (combine ~exists:false nv with_v (remaining_vars v with_v)) :: without)
+              fst (combine ~exists:false nv (by_rows with_v) (remaining_vars v with_v)) :: without)
     in
     s * sum_out nv next
   end
@@ -265,47 +311,198 @@ let of_atom (qt : int array) (rel : int array) (rows : int) : factor =
     { vars; rows = !n; data; wt = [||] }
   end
 
-let count ?(budget : Budget.t option) (order : order) (q : Cq.t) (d : Structure.t) : int =
+(* The flat copy of [tuples], [arity] values a row. *)
+let flat (tuples : int list list) (arity : int) : int array * int =
+  let rows = List.length tuples in
+  let rel = Array.make (rows * arity) 0 in
+  let rec fill i = function [] -> () | v :: t -> rel.(i) <- v; fill (i + 1) t in
+  List.iteri (fun r t -> fill (r * arity) t) tuples;
+  (rel, rows)
+
+(* A flat copy of a relation in the making, for an atom that shares the
+   variables at its positions [pos] with a restriction: the rows whose
+   values there form one of the [keys] (every row when [pos] is
+   empty). *)
+type copy = { pos : int array; keys : keys; key : int array; mutable out : int array; mutable len : int }
+
+let copy_of (r : factor) (qt : int array) : copy =
+  let pos = List.filter (fun p -> Array.mem qt.(p) r.vars) (List.init (Array.length qt) Fun.id) |> Array.of_list in
+  let col = Array.map (fun p -> Option.get (Array.find_index (( = ) qt.(p)) r.vars)) pos in
+  let w = Array.length pos and rw = Array.length r.vars in
+  let keys = create w r.rows and key = Array.make w 0 in
+  for i = 0 to r.rows - 1 do
+    for j = 0 to w - 1 do key.(j) <- r.data.((i * rw) + col.(j)) done;
+    ignore (intern keys key : int)
+  done;
+  { pos; keys; key; out = [||]; len = 0 }
+
+(* The flat copies of [tuples] for the atoms over the local variables
+   [qts], in one pass: each keeps only the rows that agree with the
+   restriction [r] on the variables they share with it (a semijoin, done
+   while copying), and the atoms sharing none share one whole copy. *)
+let semijoin (r : factor) (qts : int array list) (tuples : int list list) (arity : int) : (int array * int) list =
+  let whole = ref None in
+  let cs =
+    List.map
+      (fun qt ->
+        let c = copy_of r qt in
+        if c.pos <> [||] then c
+        else match !whole with Some w -> w | None -> whole := Some c; c)
+      qts
+  in
+  let todo = List.fold_left (fun acc c -> if List.memq c acc then acc else c :: acc) [] cs in
+  let row = Array.make arity 0 in
+  let rec fill i = function [] -> () | v :: t -> row.(i) <- v; fill (i + 1) t in
+  let rec visit = function
+    | [] -> ()
+    | c :: cs ->
+        let w = Array.length c.pos in
+        let agrees =
+          if c.keys.size = 1 then begin
+            (* one key (a binding) is compared in place: hashing it made
+               tier-B folds whose bindings are dead about 1.8x slower *)
+            let j = ref 0 in
+            while !j < w && row.(c.pos.(!j)) = c.keys.keys.(!j) do incr j done;
+            !j = w
+          end
+          else begin
+            for j = 0 to w - 1 do c.key.(j) <- row.(c.pos.(j)) done;
+            find c.keys c.key >= 0
+          end
+        in
+        if agrees then begin
+          c.out <- grow c.out ((c.len + 1) * arity);
+          Array.blit row 0 c.out (c.len * arity) arity;
+          c.len <- c.len + 1
+        end;
+        visit cs
+  in
+  let rec scan = function [] -> () | t :: ts -> fill 0 t; visit todo; scan ts in
+  scan tuples;
+  List.map (fun c -> (c.out, c.len)) cs
+
+(* A term over [d] as factors on the local variables [0 .. nv - 1]: the
+   factor of each atom, after the restriction's factor when there is
+   one.  Each relation is copied in one pass per call. *)
+type setup = { n : int; nv : int; local : int -> int; restriction : factor option; factors : factor list }
+
+let setup (n : int) (restrict : table option) (q : Cq.t) (d : Structure.t) : setup =
+  let a = Cq.structure q in
+  let univ = Structure.universe a in
+  let nv = List.length univ in
+  let local v = Listx.index_of v univ in
+  let restriction =
+    Option.map
+      (fun (r : table) ->
+        let w = Array.length r.cols in
+        if
+          (not (Array.for_all (fun v -> List.mem v univ) r.cols))
+          || List.length (List.sort_uniq compare (Array.to_list r.cols)) <> w
+          || Array.length r.data < r.rows * w
+        then invalid_arg "Elim: a restriction names distinct variables of the term";
+        { vars = Array.map local r.cols; rows = r.rows; data = r.data; wt = [||] })
+      restrict
+  in
+  let atoms =
+    List.concat_map
+      (fun (name, ts) ->
+        if ts = [] then []
+        else begin
+          let tuples = Structure.relation d name in
+          let arity = Signature.arity_of (Structure.signature d) name in
+          let qts = List.map (fun t -> Array.of_list (List.map local t)) ts in
+          match restriction with
+          | None ->
+              let rel, rows = flat tuples arity in
+              List.map (fun qt -> of_atom qt rel rows) qts
+          | Some r -> List.map2 (fun qt (rel, rows) -> of_atom qt rel rows) qts (semijoin r qts tuples arity)
+        end)
+      (Structure.relations a)
+  in
+  { n; nv; local; restriction; factors = Option.to_list restriction @ atoms }
+
+(* Over the empty universe only the empty assignment exists: an answer
+   iff the term has no free variable, it holds, and the restriction, if
+   any, holds a row over no variables. *)
+let holds_on_empty ?(budget : Budget.t option) (restrict : table option) (q : Cq.t) (d : Structure.t) : bool =
+  Cq.free q = []
+  && (match restrict with None -> true | Some r -> r.rows > 0 && r.cols = [||])
+  && Hom.exists ?budget (Cq.structure q) d
+
+(* A restricted term with an empty factor (an atom no row of which
+   agrees with the restriction) has no answer, before any elimination. *)
+let dead (s : setup) : bool = Option.is_some s.restriction && List.exists (fun f -> f.rows = 0) s.factors
+
+(* The factors left once the quantified variables are projected away. *)
+let project ?(budget : Budget.t option) (s : setup) (q : Cq.t) : factor list option =
+  let cost v fs = List.length (List.filter (mentions v) fs) in
+  eliminate ?budget ?restriction:s.restriction ~exists:true ~cost s.nv (List.map s.local (Cq.quantified q)) s.factors
+
+let count ?(budget : Budget.t option) ?(restrict : table option) (order : order) (q : Cq.t)
+    (d : Structure.t) : int =
   let a = Cq.structure q in
   let n = Structure.universe_size d in
   if not (Signature.subset (Structure.signature a) (Structure.signature d)) then 0
-  else if n = 0 && order = Projecting then
-    (* only the empty assignment exists: an answer iff the query holds *)
-    if Cq.free q = [] && Hom.exists ?budget a d then 1 else 0
+  else if n = 0 && order = Projecting then if holds_on_empty ?budget restrict q d then 1 else 0
   else begin
-    let univ = Structure.universe a in
-    let nv = List.length univ in
-    let local v = Listx.index_of v univ in
-    let factors =
-      List.concat_map
-        (fun (name, ts) ->
-          if ts = [] then []
-          else begin
-            (* one flat copy of the relation per call, shared by its atoms *)
-            let tuples = Structure.relation d name in
-            let arity = Signature.arity_of (Structure.signature d) name in
-            let rows = List.length tuples in
-            let rel = Array.make (rows * arity) 0 in
-            let rec fill i = function [] -> () | v :: t -> rel.(i) <- v; fill (i + 1) t in
-            List.iteri (fun r t -> fill (r * arity) t) tuples;
-            List.map (fun t -> of_atom (Array.of_list (List.map local t)) rel rows) ts
-          end)
-        (Structure.relations a)
-    in
+    let s = setup n restrict q d in
+    let nv = s.nv and factors = s.factors in
     let covered = List.filter (fun v -> List.exists (mentions v) factors) (List.init nv Fun.id) in
     (* a variable in no atom ranges over the whole universe *)
-    let homs fs = sum_out nv fs * Combinat.power_int n (nv - List.length covered) in
-    match order with
-    | Acyclic -> homs factors
-    | Summing -> (
-        match eliminate ?budget ~exists:false ~cost:rows_with nv covered factors with
-        | None -> 0
-        | Some fs -> homs fs)
-    | Projecting -> (
-        let cost v fs = List.length (List.filter (mentions v) fs) in
-        match eliminate ?budget ~exists:true ~cost nv (List.map local (Cq.quantified q)) factors with
-        | None -> 0
-        | Some fs ->
-            let missing = List.filter (fun x -> not (List.mem (local x) covered)) (Cq.free q) in
-            sum_out nv fs * Combinat.power_int n (List.length missing))
-end
+    let homs fs = sum_out nv fs * Combinat.power_int s.n (nv - List.length covered) in
+    if dead s then 0
+    else
+      match order with
+      | Acyclic -> homs factors
+      | Summing -> (
+          match eliminate ?budget ?restriction:s.restriction ~exists:false ~cost:rows_with nv covered factors with
+          | None -> 0
+          | Some fs -> homs fs)
+      | Projecting -> (
+          match project ?budget s q with
+          | None -> 0
+          | Some fs ->
+              let missing = List.filter (fun x -> not (List.mem (s.local x) covered)) (Cq.free q) in
+              sum_out nv fs * Combinat.power_int s.n (List.length missing))
+  end
+
+let answers ?(budget : Budget.t option) ?(restrict : table option) (q : Cq.t) (d : Structure.t) : table =
+  let cols = Array.of_list (Cq.free q) in
+  let none = { cols; rows = 0; data = [||] } in
+  let n = Structure.universe_size d in
+  if not (Signature.subset (Structure.signature (Cq.structure q)) (Structure.signature d)) then none
+  else if n = 0 then if holds_on_empty ?budget restrict q d then { cols; rows = 1; data = [||] } else none
+  else begin
+    let s = setup n restrict q d in
+    match if dead s then None else project ?budget s q with
+    | None -> none
+    | Some fs -> (
+        let xs = Array.map s.local cols in
+        (* a free variable in no factor ranges over the whole universe *)
+        let spread =
+          List.filter_map
+            (fun v ->
+              if List.exists (mentions v) fs then None
+              else Some { vars = [| v |]; rows = s.n; data = Array.of_list (Structure.universe d); wt = [||] })
+            (Array.to_list xs)
+        in
+        match fs @ spread with
+        | [] -> { cols; rows = 1; data = [||] }
+        | fs ->
+            let g, _ = combine ~exists:true ?tick:budget s.nv (join_order fs) xs in
+            { cols; rows = g.rows; data = g.data })
+  end
+
+let union (cols : int array) (ts : table list) : table =
+  let w = Array.length cols in
+  let g = create w (List.fold_left (fun acc (t : table) -> acc + t.rows) 0 ts) in
+  let buf = Array.make w 0 in
+  List.iter
+    (fun (t : table) ->
+      if t.cols <> cols then invalid_arg "Elim.union: tables over different columns";
+      for r = 0 to t.rows - 1 do
+        Array.blit t.data (r * w) buf 0 w;
+        ignore (intern g buf : int)
+      done)
+    ts;
+  { cols; rows = g.size; data = g.keys }

@@ -14,8 +14,7 @@
     relation over a subset [V ⊆ X] of covered free variables, paired with
     the number of free variables not covered by any atom (each such
     variable ranges freely over the universe). *)
-let answer_relation ?(budget : Budget.t option) (q : Cq.t) (d : Structure.t) :
-    Relation.t * int =
+let answer_relation (q : Cq.t) (d : Structure.t) : Relation.t * int =
   let a = Cq.structure q in
   if not (Signature.subset (Structure.signature a) (Structure.signature d))
   then (Relation.falsity, 0)
@@ -48,9 +47,6 @@ let answer_relation ?(budget : Budget.t option) (q : Cq.t) (d : Structure.t) :
           if not domain_nonempty then ok := false
       | _ ->
           let joined = Relation.join_all with_y in
-          (* cost-proportional accounting: the joined intermediate is the
-             quantity a budget must bound *)
-          Budget.ticks_opt budget (1 + Relation.cardinality joined);
           let projected = Relation.eliminate joined y in
           if Relation.is_empty projected then ok := false;
           rels := projected :: without_y

@@ -2,12 +2,6 @@
     variable elimination: counting answers means counting distinct
     projections of the homomorphism set onto the free variables. *)
 
-(** [answer_relation ?budget q d] is the answer set as a relation over the
-    covered free variables, with the number of free variables covered by
-    no atom (each ranging freely over the universe).  The budget is
-    charged proportionally to each joined intermediate. *)
-val answer_relation : ?budget:Budget.t -> Cq.t -> Structure.t -> Relation.t * int
-
 (** [count_big q d] is [ans((A, X) → D)] in exact arbitrary precision
     over the materialised answer relation — the oracle the counting
     engine ({!Elim}) is tested against. *)

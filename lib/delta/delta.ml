@@ -1,27 +1,27 @@
 (** Tiered incremental counting (see the interface for the model).
 
     Tier B is the interesting case.  For a combined query [q] with free
-    set [X] and an update [±R(t)], every answer gained or lost must
-    have a homomorphism mapping some [R]-atom to [t].  So for each
-    occurrence [R(v1..vk)] in [q] we bind [vi := ti] and materialise
-    the bound answers as {e candidates}; a candidate only counts if it
-    was not already satisfied before the insert (resp. is no longer
-    satisfied after the delete), which one all-variables-bound boolean
-    evaluation per candidate decides.
+    set [X] and an update [±R(t)], every answer gained or lost has a
+    homomorphism mapping some [R]-atom onto [t].  So each occurrence
+    [R(v1..vk)] in [q] whose variables bind consistently to [t] gives one
+    projecting {!Elim.answers} call restricted to that binding, over the
+    side of the update that holds [t]; its answers over [X] are
+    candidates, deduplicated into one flat table.  One projecting
+    {!Elim.count} restricted to that table, over the other side, counts
+    the candidates that were already (insert) or are still (delete)
+    answers; the rest shift the count.  Quantified and quantifier-free
+    terms take the same path: on the latter the answers are the
+    homomorphisms.
 
-    Bindings are compiled by {e specialization} ({!specialize}): each
-    atom mentioning a bound variable is replaced by a residual atom
-    over its unbound positions whose extension is the matching tuples
-    of the database — an eager semi-join.  This matters: the earlier
-    encoding (conjoin fresh unary atoms [__b(v)] with singleton
-    relations) left the full relations in the quantified variables'
-    join buckets, so every per-candidate check re-joined whole
-    relations and a tier-B update could cost {e more} than a fresh
-    recompute.  After specialization the {!Varelim} engine only ever
-    sees neighbourhood-sized relations, and the cheap
-    {!Structure.extend} constructor attaches them without re-validating
-    the database, so the work per update is proportional to the changed
-    tuple's neighbourhood, not to the database or answer count. *)
+    A restricted call copies each atom's relation keeping only the rows
+    that agree with the binding (or the candidates) on their shared
+    variables, so it joins neighbourhood-sized factors, not whole
+    relations.  Its cost is the changed tuple's neighbourhood, which on
+    dense data can exceed a recount: every term therefore folds under an
+    {e allowance}, the steps its last full count charged plus the tuples
+    that count read.  A fold that meters past it stops, and that term
+    alone is recounted; Lemma 26's terms are independent, so the others
+    keep their folds. *)
 
 type fact = { rel : string; tuple : int list }
 type update = { op : [ `Insert | `Delete ]; fact : fact }
@@ -151,113 +151,28 @@ let apply (d : db) (u : update) : (applied, Ucqc_error.t) result =
 (* Bound-query evaluation (tier B)                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* A fresh residual-symbol prefix clashing with nothing in either
-   signature; computed once per state. *)
-let fresh_prefix (sigs : Signature.t list) : string =
-  let clashes p =
-    List.exists
-      (List.exists (fun (s : Signature.symbol) ->
-           String.length s.Signature.name >= String.length p
-           && String.sub s.Signature.name 0 (String.length p) = p))
-      sigs
-  in
-  let p = ref "__b" in
-  while clashes !p do
-    p := "_" ^ !p
-  done;
-  !p
-
-(** [specialize prefix q bindings d] partially evaluates [q] under
-    [bindings]: every atom mentioning a bound variable is replaced by a
-    residual atom over its unbound positions, whose extension is the
-    matching tuples of [d] projected accordingly — an eager semi-join
-    that restricts the relations {e before} variable elimination joins
-    them.  Fully-bound atoms are checked against [d] and dropped;
-    [None] means one of them had no matching tuple, i.e. the bound
-    query is unsatisfiable.  On [Some (q', d')], [q'] ranges over the
-    surviving (unbound) variables only — its free set is [free q]
-    minus the bound variables — and [d'] extends [d] with the residual
-    relations via {!Structure.extend}, so nothing of [d] itself is
-    re-validated. *)
-let specialize (prefix : string) (q : Cq.t) (bindings : (int * int) list)
-    (d : Structure.t) : (Cq.t * Structure.t) option =
-  let bound v = List.assoc_opt v bindings in
-  let counter = ref 0 in
-  let syms = ref [] in
-  let rels = ref [] in
-  let exception Unsat in
-  let specialize_atom (name : string) (args : int list) :
-      (string * int list) option =
-    if List.for_all (fun v -> bound v = None) args then Some (name, args)
-    else begin
-      let matches tup =
-        List.for_all2
-          (fun v c -> match bound v with Some b -> b = c | None -> true)
-          args tup
-      in
-      let matching = List.filter matches (Structure.relation d name) in
-      let residual_args = List.filter (fun v -> bound v = None) args in
-      if residual_args = [] then
-        if matching = [] then raise Unsat else None (* satisfied: drop *)
-      else begin
-        let fname = prefix ^ string_of_int !counter in
-        incr counter;
-        let residual tup =
-          List.filter_map
-            (fun (v, c) -> if bound v = None then Some c else None)
-            (List.combine args tup)
-        in
-        syms := Signature.symbol fname (List.length residual_args) :: !syms;
-        rels := (fname, List.map residual matching) :: !rels;
-        Some (fname, residual_args)
-      end
-    end
-  in
-  match
-    List.concat_map
-      (fun (name, ts) -> List.filter_map (specialize_atom name) ts)
-      (Structure.relations (Cq.structure q))
-  with
-  | exception Unsat -> None
-  | atoms ->
-      let free = List.filter (fun v -> bound v = None) (Cq.free q) in
-      let vars = Listx.sort_uniq_ints (free @ List.concat_map snd atoms) in
-      let by_name =
-        List.fold_left
-          (fun acc (name, args) ->
-            match List.assoc_opt name acc with
-            | Some argss ->
-                (name, args :: argss) :: List.remove_assoc name acc
-            | None -> (name, [ args ]) :: acc)
-          [] atoms
-      in
-      let qsig =
-        Signature.make
-          (List.map
-             (fun (name, argss) ->
-               Signature.symbol name (List.length (List.hd argss)))
-             by_name)
-      in
-      let qa = Structure.make qsig vars by_name in
-      let d' = if !syms = [] then d else Structure.extend d !syms !rels in
-      Some (Cq.make qa free, d')
-
-(** The consistent binding of an occurrence's variables to the changed
-    tuple's values, or [None] when a repeated variable would need two
-    values. *)
-let binding_of (args : int list) (tuple : int list) : (int * int) list option
-    =
+(** The binding of an occurrence's variables to the changed tuple's
+    values, as a one-row restriction, or [None] when a repeated variable
+    would need two values. *)
+let binding (args : int list) (tuple : int list) : Elim.table option =
   let exception Inconsistent in
-  try
-    Some
-      (List.fold_left2
-         (fun acc v c ->
-           match List.assoc_opt v acc with
-           | Some c' when c' <> c -> raise Inconsistent
-           | Some _ -> acc
-           | None -> (v, c) :: acc)
-         [] args tuple)
-  with Inconsistent -> None
+  match
+    List.fold_left2
+      (fun acc v c ->
+        match List.assoc_opt v acc with
+        | Some c' when c' <> c -> raise Inconsistent
+        | Some _ -> acc
+        | None -> (v, c) :: acc)
+      [] args tuple
+  with
+  | exception Inconsistent -> None
+  | pairs ->
+      Some
+        {
+          Elim.cols = Array.of_list (List.rev_map fst pairs);
+          rows = 1;
+          data = Array.of_list (List.rev_map snd pairs);
+        }
 
 (* ------------------------------------------------------------------ *)
 (* Per-query states                                                   *)
@@ -269,9 +184,13 @@ type bterm = {
   iso_exp : int;  (** dropped isolated free variables *)
   occs : (string * int list list) list;  (** relation -> occurrence args *)
   mutable n : int;  (** maintained [ans(tq -> D)] *)
+  mutable full_steps : int;  (** steps the last full count charged *)
+  mutable reads : int;  (** tuples the last full count read *)
+  mutable fold_steps : int;  (** steps the last fold metered *)
+  mutable recounts : int;  (** folds the guard replaced by a recount *)
 }
 
-type bstate = { prefix : string; us : int; terms : bterm list }
+type bstate = { us : int; terms : bterm list }
 
 type impl =
   | TA of Dynamic_ucq.t
@@ -299,38 +218,50 @@ let degrade (st : state) (reason : string) : unit =
   st.impl <- TC;
   st.degraded_reason <- Some reason
 
+let recounts_c = Telemetry.counter "delta.fold.recounts"
+
+(** A full count of [t]'s query over [d], which also sets the term's
+    allowance: the steps the count charged plus the tuples it read (the
+    engine charges joins, not reads, so a quantifier-free term's count
+    charges no step). *)
+let full_count ?(budget : Budget.t option) (t : bterm) (d : Structure.t) : unit =
+  let b = match budget with Some b -> b | None -> Budget.unlimited () in
+  let before = Budget.steps_done b in
+  t.n <- Counting.count ~strategy:Counting.Varelim ~budget:b t.tq d;
+  t.full_steps <- Budget.steps_done b - before;
+  t.reads <-
+    List.fold_left
+      (fun acc (name, ts) -> acc + (List.length ts * List.length (Structure.relation d name)))
+      0
+      (Structure.relations (Cq.structure t.tq))
+
 (** One tier-B term over the current database. *)
 let prepare_bterm ?(budget : Budget.t option) (d : db) (sign : int) (q0 : Cq.t)
     : bterm =
-  let us = Structure.universe_size d.current in
-  if us = 0 then
-    (* no update can touch an empty universe: the count is frozen *)
-    let n = Counting.count ~strategy:Counting.Varelim ?budget q0 d.current in
-    { tsign = sign; tq = q0; iso_exp = 0; occs = []; n }
-  else begin
-    let q1 = Cq.drop_isolated_quantified q0 in
-    let iso = Cq.isolated_variables q1 in
-    (* after dropping isolated quantified variables, every isolated
-       variable is free: each ranges over the whole universe *)
-    let a1 = Cq.structure q1 in
-    let qcov =
-      Cq.make
-        (Structure.delete_elements a1 iso)
-        (List.filter (fun v -> not (List.mem v iso)) (Cq.free q1))
-    in
-    let occs =
-      List.filter
-        (fun (_, ts) -> ts <> [])
-        (Structure.relations (Cq.structure qcov))
-    in
-    {
-      tsign = sign;
-      tq = qcov;
-      iso_exp = List.length iso;
-      occs;
-      n = Counting.count ~strategy:Counting.Varelim ?budget qcov d.current;
-    }
-  end
+  let term tq iso_exp occs =
+    { tsign = sign; tq; iso_exp; occs; n = 0; full_steps = 0; reads = 0; fold_steps = 0; recounts = 0 }
+  in
+  let t =
+    if Structure.universe_size d.current = 0 then
+      (* no update can touch an empty universe: the count is frozen *)
+      term q0 0 []
+    else begin
+      let q1 = Cq.drop_isolated_quantified q0 in
+      let iso = Cq.isolated_variables q1 in
+      (* after dropping isolated quantified variables, every isolated
+         variable is free: each ranges over the whole universe *)
+      let a1 = Cq.structure q1 in
+      let qcov =
+        Cq.make
+          (Structure.delete_elements a1 iso)
+          (List.filter (fun v -> not (List.mem v iso)) (Cq.free q1))
+      in
+      term qcov (List.length iso)
+        (List.filter (fun (_, ts) -> ts <> []) (Structure.relations (Cq.structure qcov)))
+    end
+  in
+  full_count ?budget t d.current;
+  t
 
 let bstate_count (b : bstate) : int =
   List.fold_left
@@ -338,70 +269,52 @@ let bstate_count (b : bstate) : int =
       acc + (t.tsign * t.n * Combinat.power_int b.us t.iso_exp))
     0 b.terms
 
-(** Delta-evaluate one accepted change into one term. *)
-let apply_bterm ?(budget : Budget.t option) (b : bstate) (t : bterm)
-    (r : applied) : unit =
+(** The change in [t]'s count that [r] makes, through the given
+    occurrences of the changed relation.  Every answer gained (lost) has
+    a homomorphism mapping one of them onto the changed tuple, so each
+    occurrence that binds consistently gives one restricted projecting
+    call over the side holding the tuple; its answers are candidates.
+    One projecting count restricted to the candidates, over the other
+    side, finds those already (still) answers there. *)
+let fold_delta (budget : Budget.t) (t : bterm) (r : applied) (occurrences : int list list) : int =
+  let holding, other =
+    match r.upd.op with `Insert -> (r.after, r.before) | `Delete -> (r.before, r.after)
+  in
+  let found =
+    List.filter_map
+      (fun args ->
+        Option.map
+          (fun b -> Elim.answers ~budget ~restrict:b t.tq holding)
+          (binding args r.upd.fact.tuple))
+      occurrences
+  in
+  let cands = Elim.union (Array.of_list (Cq.free t.tq)) found in
+  if cands.Elim.rows = 0 then 0
+  else cands.Elim.rows - Elim.count ~budget ~restrict:cands Elim.Projecting t.tq other
+
+(** Fold one accepted change into one term, under the term's allowance:
+    a fold that meters past it stops, and the term alone is recounted
+    over the after-database.  The fold keeps the caller's deadline and
+    cancellation, and the steps either way are charged to the caller's
+    budget, whose exhaustion escapes. *)
+let apply_bterm ?(budget : Budget.t option) (t : bterm) (r : applied) : unit =
   match List.assoc_opt r.upd.fact.rel t.occs with
-  | None -> ()
+  | None -> t.fold_steps <- 0
   | Some occurrences ->
-      let d_cand, d_check =
-        match r.upd.op with
-        | `Insert -> (r.after, r.before)
-        | `Delete -> (r.before, r.after)
-      in
-      let xs = Cq.free t.tq in
-      let cands : (int list, unit) Hashtbl.t = Hashtbl.create 16 in
-      List.iter
-        (fun args ->
-          match binding_of args r.upd.fact.tuple with
-          | None -> ()
-          | Some bindings -> (
-              match specialize b.prefix t.tq bindings d_cand with
-              | None -> () (* bound query unsatisfiable: no candidates *)
-              | Some (qb, db_) ->
-                  let rel, uncovered =
-                    Varelim.answer_relation ?budget qb db_
-                  in
-                  if uncovered <> 0 then
-                    raise
-                      (Ucqc_error.Error
-                         (Ucqc_error.Internal
-                            "delta: bound query left a free variable \
-                             uncovered"));
-                  (* answers cover the unbound free variables; bound ones
-                     come from the binding itself *)
-                  List.iter
-                    (fun tuple ->
-                      let env = List.combine rel.Relation.vars tuple in
-                      let cand =
-                        List.map
-                          (fun x ->
-                            match List.assoc_opt x bindings with
-                            | Some c -> c
-                            | None -> List.assoc x env)
-                          xs
-                      in
-                      Hashtbl.replace cands cand ())
-                    rel.Relation.tuples))
-        occurrences;
-      let delta =
-        Hashtbl.fold
-          (fun a () acc ->
-            let satisfied =
-              match
-                specialize b.prefix t.tq (List.combine xs a) d_check
-              with
-              | None -> false
-              | Some (qb, db_) ->
-                  Counting.count ~strategy:Counting.Varelim ?budget qb db_ > 0
-            in
-            if satisfied then acc else acc + 1)
-          cands 0
-      in
-      t.n <-
-        (match r.upd.op with
-        | `Insert -> t.n + delta
-        | `Delete -> t.n - delta)
+      (* the fold may meter its allowance, or the caller's remaining
+         steps if fewer; [Budget.within b k] lets k - 1 ticks pass *)
+      let caller = match budget with Some b -> b | None -> Budget.unlimited () in
+      let fb = Budget.within caller (t.full_steps + t.reads + 1) in
+      let delta = try Some (fold_delta fb t r occurrences) with Budget.Exhausted _ -> None in
+      t.fold_steps <- Budget.steps_done fb;
+      Budget.ticks_opt budget t.fold_steps;
+      Budget.check_opt budget;
+      (match delta with
+      | Some d -> t.n <- (match r.upd.op with `Insert -> t.n + d | `Delete -> t.n - d)
+      | None ->
+          Telemetry.incr recounts_c;
+          t.recounts <- t.recounts + 1;
+          full_count ?budget t r.after)
 
 let prepare ?(budget : Budget.t option) (psi : Ucq.t) (d : db) : state =
   let sel = Tier.select psi in
@@ -435,11 +348,6 @@ let prepare ?(budget : Budget.t option) (psi : Ucq.t) (d : db) : state =
       | Error e -> st.degraded_reason <- Some (Ucqc_error.to_string e))
   | Tier.B -> (
       let subsets = Combinat.nonempty_subsets (Ucq.length psi) in
-      let prefix =
-        fresh_prefix
-          (Structure.signature d.current
-          :: List.map Structure.signature (Ucq.disjunct_structures psi))
-      in
       match
         List.map
           (fun j ->
@@ -448,8 +356,7 @@ let prepare ?(budget : Budget.t option) (psi : Ucq.t) (d : db) : state =
           subsets
       with
       | terms ->
-          st.impl <-
-            TB { prefix; us = Structure.universe_size d.current; terms }
+          st.impl <- TB { us = Structure.universe_size d.current; terms }
       | exception Budget.Exhausted _ ->
           st.degraded_reason <- Some "budget exhausted while preparing"
       | exception e ->
@@ -476,7 +383,7 @@ let apply_state ?(budget : Budget.t option) (st : state) (_d : db)
         | `Insert -> Dynamic_ucq.insert dyn r.upd.fact.rel r.upd.fact.tuple
         | `Delete -> Dynamic_ucq.delete dyn r.upd.fact.rel r.upd.fact.tuple)
     | TB b -> (
-        try List.iter (fun t -> apply_bterm ?budget b t r) b.terms with
+        try List.iter (fun t -> apply_bterm ?budget t r) b.terms with
         | Budget.Exhausted _ ->
             degrade st "budget exhausted during delta evaluation"
         | e -> degrade st (Printexc.to_string e)));
@@ -498,6 +405,17 @@ let maintained_count (st : state) (d : db) : (int * source) option =
 
 let memoize (st : state) (d : db) (n : int) : unit =
   st.memo <- Some (d.sepoch, n)
+
+type term_info = { term : Cq.t; count : int; full_steps : int; fold_steps : int; recounts : int }
+
+let terms (st : state) : term_info list =
+  match st.impl with
+  | TB b ->
+      List.map
+        (fun t ->
+          { term = t.tq; count = t.n; full_steps = t.full_steps; fold_steps = t.fold_steps; recounts = t.recounts })
+        b.terms
+  | TA _ | TC -> []
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                          *)

@@ -12,16 +12,15 @@
     - {b A} — a {!Dynamic_ucq} instance: O(1) per update.
     - {b B} — per-combined-query delta evaluation: the signed counts
       of the [2^l - 1] combined queries [∧(Ψ|J)] are kept, and an
-      update [±R(t)] re-evaluates only the homomorphisms through the
-      changed tuple [t].  For each occurrence of [R] in a combined
-      query, the occurrence's variables are bound to [t] by
-      {e specializing} the query — atoms touching bound variables are
-      replaced by residual atoms over neighbourhood-sized relations, an
-      eager semi-join, so the stock variable-elimination engine of
-      [lib/db] never joins full relations — and the bound query's
-      answers are the candidate assignments; candidates not already
-      (insert) or no longer (delete) satisfied shift the maintained
-      count.
+      update [±R(t)] folds into each with a few restricted calls of the
+      elimination engine ({!Elim}): one projecting call per occurrence
+      of [R], with the occurrence's variables bound to [t], gathers the
+      candidate answers through [t]; one projecting count restricted to
+      the candidates, over the other side of the update, finds those not
+      gained (insert) or not lost (delete).  Each fold runs under its
+      term's allowance (what its last full count charged and read); a
+      fold that passes it stops, and that term is recounted instead
+      (the [delta.fold.recounts] counter).
     - {b C} — nothing is maintained; counts are recomputed lazily by
       the caller and memoized per epoch via {!memoize}.
 
@@ -104,7 +103,10 @@ val degraded : state -> string option
 (** [apply_state ?budget st d receipt] folds one accepted change into
     the maintained state.  Must be called once, in order, for every
     {!applied} with [changed = true]; a state that misses an epoch
-    degrades rather than answer stale counts.  Never raises. *)
+    degrades rather than answer stale counts.  [budget] bounds the whole
+    fold, guard recounts included, and its deadline and cancellation
+    stop a fold part-way; running out of it degrades the state.  Never
+    raises. *)
 val apply_state : ?budget:Budget.t -> state -> db -> applied -> unit
 
 (** Where a served count came from. *)
@@ -122,6 +124,25 @@ val maintained_count : state -> db -> (int * source) option
     current epoch (approximate/degraded results must not be
     memoized). *)
 val memoize : state -> db -> int -> unit
+
+(** {1 Inspection} *)
+
+(** One maintained tier-B term: a combined query [∧(Ψ|J)] with its
+    isolated variables dropped, its maintained count, the steps its last
+    full count charged, the steps the last change's fold metered (0 when
+    the change did not touch it), and how many folds the guard has
+    replaced by a recount. *)
+type term_info = {
+  term : Cq.t;
+  count : int;
+  full_steps : int;
+  fold_steps : int;
+  recounts : int;
+}
+
+(** [terms st] is a live tier-B state's terms, one per non-empty subset
+    of disjuncts; [[]] on the other tiers. *)
+val terms : state -> term_info list
 
 (** {1 Rendering} *)
 

@@ -155,55 +155,6 @@ let remove_tuples (a : t) (name : string) (tuples : tuple list) : t =
         a.relations;
   }
 
-(** [extend a syms rels] adds fresh symbols with the given extensions.
-    Only the new tuples are validated and sorted; [a]'s own relations are
-    reused untouched, so the cost is O(|universe| + |new tuples|) — the
-    point of this constructor over {!make}, which re-validates the whole
-    database. *)
-let extend (a : t) (syms : Signature.symbol list)
-    (rels : (string * tuple list) list) : t =
-  let fresh = Signature.make syms in
-  List.iter
-    (fun (s : Signature.symbol) ->
-      if Signature.mem a.signature s.name then
-        invalid_arg ("Structure.extend: symbol already present: " ^ s.name))
-    fresh;
-  List.iter
-    (fun (name, _) ->
-      if not (Signature.mem fresh name) then
-        invalid_arg ("Structure.extend: extension for undeclared symbol: " ^ name))
-    rels;
-  let uset = Intset.of_list a.universe in
-  let new_rels =
-    List.map
-      (fun (s : Signature.symbol) ->
-        let ts = Option.value ~default:[] (List.assoc_opt s.name rels) in
-        List.iter
-          (fun tup ->
-            if List.length tup <> s.arity then
-              invalid_arg
-                (Printf.sprintf "Structure.extend: arity mismatch in %s" s.name);
-            List.iter
-              (fun v ->
-                if not (Intset.mem v uset) then
-                  invalid_arg
-                    (Printf.sprintf
-                       "Structure.extend: element %d not in universe (%s)" v
-                       s.name))
-              tup)
-          ts;
-        (s.name, normalize_tuples ts))
-      fresh
-  in
-  {
-    signature = Signature.union a.signature fresh;
-    universe = a.universe;
-    relations =
-      List.merge
-        (fun (n1, _) (n2, _) -> compare n1 n2)
-        a.relations new_rels;
-  }
-
 (** [union a b] is the structure union A ∪ B of Section 2.2 (universes and
     relations united; signatures must agree on shared symbols). *)
 let union (a : t) (b : t) : t =

@@ -41,17 +41,6 @@ val add_tuples : t -> string -> tuple list -> t
     @raise Invalid_argument for unknown symbols. *)
 val remove_tuples : t -> string -> tuple list -> t
 
-(** [extend a syms rels] adds fresh symbols with the given extensions,
-    validating only the new tuples — unlike {!make} (and {!union},
-    which routes through it), the existing relations are not re-checked
-    or re-sorted, so the cost is [O(|universe| + |new tuples|)]
-    independent of [a]'s size.  This is the constructor the delta
-    engine leans on to attach neighbourhood-sized residual relations to
-    a large database once per candidate.  Symbols already present in
-    [a]'s signature, extensions for undeclared symbols, arity
-    mismatches and out-of-universe elements all raise. *)
-val extend : t -> Signature.symbol list -> (string * tuple list) list -> t
-
 (** [union a b] is the structure union [A ∪ B] (Section 2.2); the
     underlying operation of the combined queries [∧(Ψ|J)]. *)
 val union : t -> t -> t

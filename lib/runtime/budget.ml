@@ -57,6 +57,19 @@ let steps_done (b : t) : int = Atomic.get b.steps_done
 let remaining_steps (b : t) : int option =
   if b.step_limited then Some (Atomic.get b.steps_left) else None
 
+(* Shares [b]'s deadline and its cancellation flag, not its counters. *)
+let within (b : t) (n : int) : t =
+  let n = match remaining_steps b with Some left -> min n left | None -> n in
+  {
+    steps_left = Atomic.make (max 0 n);
+    step_limited = true;
+    steps_done = Atomic.make 0;
+    deadline = b.deadline;
+    clock_probe = Atomic.make clock_stride;
+    cancelled = b.cancelled;
+    phase = Atomic.make (Atomic.get b.phase);
+  }
+
 let phase (b : t) : string = Atomic.get b.phase
 let set_phase (b : t) (p : string) : unit = Atomic.set b.phase p
 let cancel (b : t) : unit = Atomic.set b.cancelled true

@@ -46,6 +46,12 @@ val of_timeout : float -> t
     first). *)
 val make : ?max_steps:int -> ?timeout:float -> unit -> t
 
+(** [within b n] meters one part of [b]'s work on its own count: it
+    exhausts after [n] ticks or [b]'s remaining steps, whichever are
+    fewer, at [b]'s deadline, or once [b] is cancelled.  Its ticks are
+    not charged to [b]; the caller charges what {!steps_done} reports. *)
+val within : t -> int -> t
+
 val is_limited : t -> bool
 val steps_done : t -> int
 

@@ -184,13 +184,17 @@ let test_tier_assignment () =
   Alcotest.(check string) "tier C" "C"
     (Tier.to_string (tier (Ucq.make [ tier_c_q ]) d_e))
 
-(** Drive [steps] random updates through a session, folding every
-    change into each prepared state and checking any maintained count
-    against naive recomputation at every step. *)
-let drive_and_check ~(seed : int) ~(steps : int) ~(n : int)
-    (sg : Signature.t) (queries : (string * Ucq.t) list) : unit =
-  let empty = Structure.make sg (List.init n (fun i -> i)) [] in
-  let d = Delta.open_db empty in
+(** Drive [steps] random updates through a session over [init] (by
+    default the [n] elements with no tuple), folding every change into
+    each prepared state and checking any maintained count against naive
+    recomputation at every step; the session and the states at the
+    end. *)
+let drive ?(init : Structure.t option) ~(seed : int) ~(steps : int) ~(n : int)
+    (sg : Signature.t) (queries : (string * Ucq.t) list) : Delta.db * (string * Delta.state) list =
+  let start =
+    match init with Some s -> s | None -> Structure.make sg (List.init n (fun i -> i)) []
+  in
+  let d = Delta.open_db start in
   let states = List.map (fun (name, psi) -> (name, Delta.prepare psi d)) queries in
   let rng = Random.State.make [| seed |] in
   for step = 1 to steps do
@@ -220,7 +224,11 @@ let drive_and_check ~(seed : int) ~(steps : int) ~(n : int)
                    name step got want)
         | None -> ())
       states
-  done
+  done;
+  (d, states)
+
+let drive_and_check ?init ~seed ~steps ~n sg queries : unit =
+  ignore (drive ?init ~seed ~steps ~n sg queries : Delta.db * (string * Delta.state) list)
 
 let test_maintained_equivalence () =
   let psi_a = Ucq.make [ tier_a_q ] in
@@ -257,6 +265,142 @@ let test_tier_b_union () =
   Alcotest.(check string) "union runs on tier B" "B"
     (Tier.to_string (Delta.effective_tier st));
   drive_and_check ~seed:34 ~steps:60 ~n:4 sg_ep [ ("tier-b union", psi) ]
+
+let sg_t = Signature.make [ Signature.symbol "E" 2; Signature.symbol "T" 3 ]
+
+(* Tier-B terms the fold must bind in more than one way: the
+   quantifier-free 3-edge path (three atoms over the changed relation),
+   (x, z) :- E(x, y), E(y, y), E(y, z) (a repeated variable, quantified),
+   and (x, z) :- T(x, y, x), T(y, z, w) (a ternary relation, with a
+   repeated variable in it). *)
+let path3_q = mkq sg_e 4 [ ("E", [ [ 0; 1 ]; [ 1; 2 ]; [ 2; 3 ] ]) ] [ 0; 1; 2; 3 ]
+let loop_q = mkq sg_e 3 [ ("E", [ [ 0; 1 ]; [ 1; 1 ]; [ 1; 2 ] ]) ] [ 0; 2 ]
+let ternary_q = mkq sg_t 4 [ ("T", [ [ 0; 1; 0 ]; [ 1; 2; 3 ] ]) ] [ 0; 2 ]
+
+(* Apply one change to E and fold it into [st] under [budget]. *)
+let fold_budget ?(rel = "E") (d : Delta.db) (st : Delta.state) (budget : Budget.t) op (tuple : int list) : unit =
+  match Delta.apply d { Delta.op; fact = { Delta.rel; tuple } } with
+  | Ok r -> Delta.apply_state ~budget st d r
+  | Error e -> Alcotest.fail (Ucqc_error.to_string e)
+
+let fold_one ?rel d st op tuple = fold_budget ?rel d st (Budget.unlimited ()) op tuple
+
+(* Folds, not only guard recounts, must have run: fewer recounts than
+   changes. *)
+let check_folded (name : string) (d : Delta.db) (st : Delta.state) : unit =
+  let recounts = List.fold_left (fun acc t -> acc + t.Delta.recounts) 0 (Delta.terms st) in
+  Alcotest.(check bool) (name ^ ": some change folded") true (recounts < Delta.epoch d)
+
+let test_tier_b_bindings () =
+  (* a quantifier-free term's full count charges no step, so its
+     allowance is the tuples that count read: +E(3, 0) on a 3-edge path
+     makes three candidates, which fold without a recount *)
+  let d = Delta.open_db (Structure.make sg_e [ 0; 1; 2; 3 ] [ ("E", [ [ 0; 1 ]; [ 1; 2 ]; [ 2; 3 ] ]) ]) in
+  let st = Delta.prepare (Ucq.make [ path3_q ]) d in
+  fold_one d st `Insert [ 3; 0 ];
+  (match Delta.terms st with
+  | [ t ] ->
+      Alcotest.(check int) "the full count charged nothing" 0 t.Delta.full_steps;
+      Alcotest.(check bool) "the fold metered its candidates" true (t.Delta.fold_steps >= 3);
+      Alcotest.(check int) "no recount" 0 t.Delta.recounts;
+      Alcotest.(check int) "exact" (Ucq.count_naive (Delta.query st) (Delta.structure d)) t.Delta.count
+  | _ -> Alcotest.fail "one term");
+  List.iter
+    (fun (name, sg, q, seed) ->
+      let psi = Ucq.make [ q ] in
+      let d = Delta.open_db (Structure.make sg [ 0; 1; 2; 3 ] []) in
+      Alcotest.(check string) (name ^ " runs on tier B") "B"
+        (Tier.to_string (Delta.effective_tier (Delta.prepare psi d)));
+      match drive ~seed ~steps:80 ~n:4 sg [ (name, psi) ] with
+      | d, [ (_, st) ] -> check_folded name d st
+      | _ -> Alcotest.fail "one state")
+    [
+      ("3-edge path", sg_e, path3_q, 35);
+      ("repeated variable", sg_e, loop_q, 36);
+      ("ternary", sg_t, ternary_q, 37);
+    ]
+
+(* The complete digraph on [n] elements, loops included. *)
+let complete (n : int) : Structure.t =
+  let us = List.init n Fun.id in
+  Structure.make sg_e us [ ("E", Combinat.tuples 2 us) ]
+
+(* The dense reproductions: -E(0, 0) on a complete digraph, where a fold
+   through the loop would build far more candidates than a recount reads.
+   The guard stops it; the count stays exact, and no term is recounted
+   twice for one change. *)
+let test_dense_guard () =
+  List.iter
+    (fun (n, text) ->
+      let psi = fst (Parse.ucq text) in
+      let d = Delta.open_db (complete n) in
+      let st = Delta.prepare psi d in
+      Alcotest.(check string) (text ^ " runs on tier B") "B"
+        (Tier.to_string (Delta.effective_tier st));
+      let recounts = Telemetry.counter "delta.fold.recounts" in
+      Telemetry.reset ();
+      Telemetry.enable ~record:false ();
+      Fun.protect
+        ~finally:(fun () ->
+          Telemetry.disable ();
+          Telemetry.reset ())
+        (fun () ->
+          fold_one d st `Delete [ 0; 0 ];
+          let want =
+            Counting.count (List.hd (Ucq.disjuncts psi)) (Delta.structure d)
+          in
+          (match Delta.maintained_count st d with
+          | Some (got, Delta.Maintained) -> Alcotest.(check int) (text ^ ": exact") want got
+          | _ -> Alcotest.fail (text ^ ": the state should still be maintained"));
+          let per_term = List.map (fun t -> t.Delta.recounts) (Delta.terms st) in
+          List.iter (fun k -> Alcotest.(check bool) (text ^ ": at most one recount") true (k <= 1)) per_term;
+          Alcotest.(check int) (text ^ ": the counter sees each recount")
+            (List.fold_left ( + ) 0 per_term)
+            (Telemetry.counter_value recounts);
+          Alcotest.(check bool) (text ^ ": the guard fired") true (Telemetry.counter_value recounts > 0)))
+    [
+      (40, "(a, b, c, d, e) :- E(a, b), E(b, c), E(c, d), E(d, e)");
+      (12, "(a, b, c, d, e, f) :- E(a, b), E(b, c), E(c, d), E(d, e), E(e, f), E(f, h)");
+    ]
+
+let sg_er = Signature.make [ Signature.symbol "E" 2; Signature.symbol "R" 1 ]
+
+(* +R(0) into (x) :- E(x, y), R(y), where 0 has 50 in-neighbours C with
+   no other out-edge and R holds 2000 elements apart from them.  The
+   check over C must join C's out-edges before R: a join that took R
+   right after the restriction over x would walk |C| * |R| partial rows,
+   far past the term's allowance (the tuples its count read, plus one
+   step), and the guard would recount. *)
+let test_connected_join () =
+  let m = 50 and big = 2000 in
+  let d =
+    Delta.open_db
+      (Structure.make sg_er
+         (List.init (1 + m + big) Fun.id)
+         [ ("E", List.init m (fun i -> [ i + 1; 0 ])); ("R", List.init big (fun i -> [ m + 1 + i ])) ])
+  in
+  let st = Delta.prepare (Ucq.make [ mkq sg_er 2 [ ("E", [ [ 0; 1 ] ]); ("R", [ [ 1 ] ]) ] [ 0 ] ]) d in
+  Alcotest.(check string) "runs on tier B" "B" (Tier.to_string (Delta.effective_tier st));
+  fold_one ~rel:"R" d st `Insert [ 0 ];
+  match Delta.terms st with
+  | [ t ] ->
+      Alcotest.(check int) "exact" m t.Delta.count;
+      Alcotest.(check int) "no recount" 0 t.Delta.recounts;
+      Alcotest.(check bool) "the fold walked C's edges, not R" true (t.Delta.fold_steps < 10 * m)
+  | _ -> Alcotest.fail "one term"
+
+(* A fold keeps its caller's cancellation and deadline: once the caller
+   is cancelled, -E(0, 1) under a 4-edge path on K12 stops at the fold's
+   first step, not at its allowance (hundreds of steps), and the state
+   degrades without a recount. *)
+let test_fold_cancelled () =
+  let d = Delta.open_db (complete 12) in
+  let st = Delta.prepare (fst (Parse.ucq "(a, b, c, d, e) :- E(a, b), E(b, c), E(c, d), E(d, e)")) d in
+  let b = Budget.unlimited () in
+  Budget.cancel b;
+  fold_budget d st b `Delete [ 0; 1 ];
+  Alcotest.(check string) "degraded" "C" (Tier.to_string (Delta.effective_tier st));
+  Alcotest.(check bool) "the fold stopped at once" true (Budget.steps_done b <= 1)
 
 let test_memoization () =
   let psi = Ucq.make [ tier_c_q ] in
@@ -390,6 +534,23 @@ let qcheck_delta =
         drive_and_check ~seed:(seed + 1) ~steps:30 ~n:4 sg_e
           [ ("B", Ucq.make [ tier_b_q ]) ];
         true);
+    Test.make ~name:"maintained counts match recomputation on dense databases" ~count:12
+      (triple (int_range 0 10_000) (int_range 2 6) (int_range 50 95))
+      (fun (seed, n, pct) ->
+        (* each tuple present with probability pct / 100 *)
+        let rng = Random.State.make [| seed; n; pct |] in
+        let us = List.init n Fun.id in
+        let init =
+          Structure.make sg_e us
+            [ ("E", List.filter (fun _ -> Random.State.int rng 100 < pct) (Combinat.tuples 2 us)) ]
+        in
+        drive_and_check ~init ~seed ~steps:12 ~n sg_e
+          [
+            ("2-hop", Ucq.make [ tier_b_q ]);
+            ("3-edge path", Ucq.make [ path3_q ]);
+            ("repeated variable", Ucq.make [ loop_q ]);
+          ];
+        true);
   ]
 
 (* fuzz: the delta-line parser is total and deterministic on corpus
@@ -466,6 +627,11 @@ let suite =
         Alcotest.test_case "tier B with isolated free variable" `Quick
           test_tier_b_isolated_free;
         Alcotest.test_case "tier B union" `Quick test_tier_b_union;
+        Alcotest.test_case "tier B binds paths, loops and ternary atoms" `Quick
+          test_tier_b_bindings;
+        Alcotest.test_case "dense deletes stop at the guard" `Quick test_dense_guard;
+        Alcotest.test_case "a restriction leads a connected join" `Quick test_connected_join;
+        Alcotest.test_case "a fold stops when its caller is cancelled" `Quick test_fold_cancelled;
         Alcotest.test_case "tier C memoization" `Quick test_memoization;
         Alcotest.test_case "missed epoch degrades" `Quick
           test_missed_epoch_degrades;

@@ -1,6 +1,8 @@
 (** Tests for the per-term counting engine behind [Counting.count]: an
     oracle suite against [Naive] and [count_big] over spread element ids,
-    and the budget schedule each strategy charges, pinned against a
+    the engine's restricted counts and answers against the term with the
+    restriction as one more atom, what a restricted join charges, and
+    the budget schedule each strategy charges, pinned against a
     transcript recorded before the engines were replaced
     ([budget_schedule.txt]). *)
 
@@ -37,6 +39,40 @@ let oracle_cq (seed : int) : Cq.t =
   let q = Qgen.random_cq ~seed ~max_vars:4 ~max_atoms:4 oracle_sg in
   Cq.make (Structure.rename (Cq.structure q) spread) (List.map spread (Cq.free q))
 
+(* A restriction for [q] over [db]: distinct rows over a random set of
+   [q]'s variables, drawn from [db]'s universe; with [q] and [db] given
+   the restriction as one more atom over a fresh relation. *)
+let restricted (qs : int) (rs : int) (q : Cq.t) (db : Structure.t) : Elim.table * Cq.t * Structure.t =
+  let st = Random.State.make [| qs; rs; 5 |] in
+  let a = Cq.structure q in
+  let cols = List.filter (fun _ -> Random.State.bool st) (Structure.universe a) in
+  let dom = Array.of_list (Structure.universe db) in
+  let rows =
+    if Array.length dom = 0 then if cols = [] && Random.State.bool st then [ [] ] else []
+    else
+      List.sort_uniq compare
+        (List.init (Random.State.int st 7) (fun _ ->
+             List.map (fun _ -> dom.(Random.State.int st (Array.length dom))) cols))
+  in
+  let sym = Signature.symbol "Rst" (List.length cols) in
+  let q' =
+    Cq.make
+      (Structure.make
+         (Signature.union (Structure.signature a) (Signature.make [ sym ]))
+         (Structure.universe a)
+         (("Rst", [ cols ]) :: Structure.relations a))
+      (Cq.free q)
+  in
+  let db' =
+    Structure.make
+      (Signature.union (Structure.signature db) (Signature.make [ sym ]))
+      (Structure.universe db)
+      (("Rst", rows) :: Structure.relations db)
+  in
+  ( { Elim.cols = Array.of_list cols; rows = List.length rows; data = Array.of_list (List.concat rows) },
+    q',
+    db' )
+
 let pool2 = lazy (Pool.create ~jobs:2 ())
 
 let qcheck_oracle =
@@ -65,7 +101,39 @@ let qcheck_oracle =
         let terms = Ucq.support psi in
         let seq = Ucq.count_terms terms db in
         seq = Ucq.count_terms ~pool:(Lazy.force pool2) terms db && seq = Ucq.count_naive psi db);
+    Test.make ~name:"restricted counts and answers agree with an extra atom" ~count:300
+      (triple (int_range 0 1_000_000) (int_range 0 1_000_000) (int_range 0 1_000_000))
+      (fun (qs, ds, rs) ->
+        let db = oracle_db ds and q = oracle_cq qs in
+        let r, q', db' = restricted qs rs q db in
+        let naive = Counting.count ~strategy:Counting.Naive q' db' in
+        let by order = Elim.count ~restrict:r order q db = naive in
+        let answers = Elim.answers ~restrict:r q db in
+        let rows =
+          List.init answers.Elim.rows (fun i ->
+              Array.to_list (Array.sub answers.Elim.data (i * Array.length answers.Elim.cols) (Array.length answers.Elim.cols)))
+        in
+        by Elim.Projecting
+        && ((not (Cq.is_quantifier_free q)) || (by Elim.Summing && by Elim.Acyclic))
+        && List.sort compare rows = Varelim.answers q' db');
   ]
+
+(* (x) :- A(x, y), B(y) restricted to x = 0, where 0 has 100 A-edges
+   and no B-row matches one: the join walks 100 partial rows and joins
+   none, and it must charge what it walks, not only what it joins. *)
+let test_restricted_charge () =
+  let sg = Signature.make [ Signature.symbol "A" 2; Signature.symbol "B" 1 ] in
+  let q = Cq.make (Structure.make sg [ 0; 1 ] [ ("A", [ [ 0; 1 ] ]); ("B", [ [ 1 ] ]) ]) [ 0 ] in
+  let d =
+    Structure.make sg (List.init 1001 Fun.id) [ ("A", List.init 100 (fun i -> [ 0; i + 1 ])); ("B", [ [ 1000 ] ]) ]
+  in
+  let r = { Elim.cols = [| 0 |]; rows = 1; data = [| 0 |] } in
+  let b = Budget.unlimited () in
+  Alcotest.(check int) "no answer" 0 (Elim.count ~budget:b ~restrict:r Elim.Projecting q d);
+  Alcotest.(check bool) "every missed probe charged" true (Budget.steps_done b > 100);
+  Alcotest.check_raises "a budget stops the walk"
+    (Budget.Exhausted { Budget.phase = "start"; steps_done = 50 })
+    (fun () -> ignore (Elim.count ~budget:(Budget.of_steps 50) ~restrict:r Elim.Projecting q d : int))
 
 (* ------------------------------------------------------------------ *)
 (* The pinned budget schedule                                         *)
@@ -76,9 +144,11 @@ let qcheck_oracle =
 let schedule_db ~(seed : int) (n : int) (m : int) : Structure.t =
   let e = Generators.random_digraph ~seed n m in
   let s = Generators.random_digraph ~seed:(seed + 100) n (m / 2) in
-  Structure.extend e
-    [ Signature.symbol "R" 1; Signature.symbol "S" 2 ]
+  Structure.make
+    (Signature.make [ Signature.symbol "E" 2; Signature.symbol "R" 1; Signature.symbol "S" 2 ])
+    (Structure.universe e)
     [
+      ("E", Structure.relation e "E");
       ("R", List.filter_map (fun v -> if v mod 3 = 0 then Some [ v ] else None) (Structure.universe e));
       ("S", Structure.relation s "E");
     ]
@@ -172,5 +242,6 @@ let suite =
   [
     ( "engine",
       Alcotest.test_case "budget schedule pinned" `Quick test_budget_schedule
+      :: Alcotest.test_case "a restricted join charges the rows it walks" `Quick test_restricted_charge
       :: List.map QCheck_alcotest.to_alcotest qcheck_oracle );
   ]

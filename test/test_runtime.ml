@@ -77,6 +77,33 @@ let test_budget_cancel () =
   | () -> Alcotest.fail "tick after cancel must raise"
   | exception Budget.Exhausted _ -> ()
 
+(* [within] keeps its own step count but its parent's deadline and
+   cancellation, and caps its steps at what the parent has left. *)
+let test_budget_within () =
+  let ticks_until_exhausted b =
+    let n = ref 0 in
+    (try
+       while !n < 10_000 do
+         Budget.tick b;
+         incr n
+       done
+     with Budget.Exhausted _ -> ());
+    !n
+  in
+  let parent = Budget.unlimited () in
+  let w = Budget.within parent 5 in
+  Alcotest.(check int) "its own cap" 4 (ticks_until_exhausted w);
+  Alcotest.(check int) "the parent is not charged" 0 (Budget.steps_done parent);
+  Alcotest.(check int) "the parent's remaining steps cap it" 2
+    (ticks_until_exhausted (Budget.within (Budget.of_steps 3) 100));
+  let w = Budget.within parent 100 in
+  Budget.cancel parent;
+  Alcotest.(check int) "the parent's cancellation stops it" 0 (ticks_until_exhausted w);
+  let late = Budget.of_timeout 0. in
+  Unix.sleepf 0.001;
+  Alcotest.(check bool) "the parent's deadline stops it" true
+    (ticks_until_exhausted (Budget.within late 10_000) <= 256)
+
 let test_budget_run_boundary () =
   let b = Budget.of_steps 3 in
   (match
@@ -440,6 +467,7 @@ let suite =
         Alcotest.test_case "budget steps" `Quick test_budget_steps;
         Alcotest.test_case "budget bulk ticks" `Quick test_budget_bulk_ticks;
         Alcotest.test_case "budget cancel" `Quick test_budget_cancel;
+        Alcotest.test_case "budget within" `Quick test_budget_within;
         Alcotest.test_case "run boundary" `Quick test_budget_run_boundary;
         Alcotest.test_case "count determinism" `Quick test_determinism_count;
         Alcotest.test_case "treewidth determinism" `Quick

@@ -3,7 +3,8 @@
     dispatches on its shape: a file with a [workloads] array gets the
     parallel bars, a file with [kind = "optimize"] gets the optimizer
     bars, a file with [kind = "expansion"] the expansion bars, a file
-    with [kind = "engine"] the engine bars.
+    with [kind = "engine"] the engine bars, a file with
+    [kind = "delta"] the tier-B fold bars.
 
     Parallel bars (BENCH_parallel.json — the parallel hot path must pay
     for itself):
@@ -43,6 +44,13 @@
     recorded with the engines it replaced): the same terms in the same
     order, each with the baseline's count and budget steps, and at most
     a quarter of the baseline's allocated words.
+
+    Tier-B fold bars (BENCH_delta.json — the terms of serve_live_mix's
+    maintained queries folded through hub and low-degree writes, all
+    counts deterministic): every maintained count equals the recount
+    over the database after the write, no fold is stopped by its term's
+    allowance (the guard recount), and every fold meters fewer steps
+    than its term's full count.
 
     Exits 1 on any violation, 0 otherwise. *)
 
@@ -202,6 +210,25 @@ let check_engine (path : string) (j : Trace_json.t) : unit =
             words (num_exn "words" b) (num_exn "words" b /. words))
       terms base
 
+let check_delta (path : string) (j : Trace_json.t) : unit =
+  List.iter
+    (fun t ->
+      let int k v = int_of_float (num_exn k v) in
+      let term = str_exn "term" t and full = int "full_steps" t in
+      List.iter
+        (fun w ->
+          let name = Printf.sprintf "%s / %s" term (str_exn "write" w) in
+          if int "count" w <> int "recount" w then
+            fail "%s: %s: maintained count %d, recount %d" path name (int "count" w) (int "recount" w);
+          if bool_exn "guard" w then fail "%s: %s: the fold passed its allowance and was recounted" path name;
+          if int "fold_steps" w >= full then
+            fail "%s: %s: the fold metered %d steps, the full count %d" path name (int "fold_steps" w) full
+          else
+            Printf.printf "bench_check: %s %s: fold %d steps, full count %d\n" path name (int "fold_steps" w)
+              full)
+        (arr_exn "writes" t))
+    (arr_exn "terms" j)
+
 let check_parallel (path : string) (j : Trace_json.t) : unit =
   let workloads = arr_exn "workloads" j in
   (* determinism bars: hold regardless of core count *)
@@ -284,6 +311,7 @@ let () =
       | Some (Trace_json.Str "optimize") -> check_optimize path j
       | Some (Trace_json.Str "expansion") -> check_expansion path j
       | Some (Trace_json.Str "engine") -> check_engine path j
+      | Some (Trace_json.Str "delta") -> check_delta path j
       | _ -> check_parallel path j)
     paths;
   if !fail_count > 0 then begin

@@ -56,15 +56,28 @@ let exit_if_no_bin (tool : string) : unit =
     exit 64
   end
 
-(* [finish tool ~what] prints the verdict and exits 0 or 1 *)
+(* [remove_tree path] deletes [path], and what is under it if it is a
+   directory (symbolic links are removed, not followed) *)
+let rec remove_tree (path : string) : unit =
+  match (Unix.lstat path).Unix.st_kind with
+  | Unix.S_DIR ->
+      Array.iter (fun f -> remove_tree (Filename.concat path f)) (Sys.readdir path);
+      Unix.rmdir path
+  | _ -> Unix.unlink path
+
+(* [finish tool ~what] prints the verdict and exits 0 or 1: a run that
+   passes removes its scratch directory, one that fails keeps it for
+   inspection and prints its path *)
 let finish (tool : string) ~(what : string) =
   if !failures = 0 then begin
+    if !tmp <> "" then remove_tree !tmp;
     Printf.printf "%s: all %s passed\n" tool what;
     exit 0
   end
   else begin
     Printf.printf "%s: %d failure%s\n" tool !failures
       (if !failures = 1 then "" else "s");
+    if !tmp <> "" then Printf.printf "%s: scratch files kept in %s\n" tool !tmp;
     exit 1
   end
 
