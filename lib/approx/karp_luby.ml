@@ -26,33 +26,30 @@ type estimate = {
   dropped : int; (** draws that failed after every seed rotation *)
 }
 
-(** [membership_oracle q d] builds a fast test for [a ∈ Ans(q → D)]:
-    quantifier-free disjuncts check their atoms against hashed database
-    relations in O(#atoms) per query; quantified disjuncts hash the
-    materialised answer set once.  The oracle is read-only after
-    construction, so pool domains share it freely. *)
-let membership_oracle (q : Cq.t) (d : Structure.t) : (int * int) list -> bool =
-  if Cq.is_quantifier_free q then begin
-    let atoms =
-      List.concat_map
-        (fun (name, ts) ->
-          let set = Hashtbl.create 64 in
-          List.iter (fun t -> Hashtbl.replace set t ()) (Structure.relation d name);
-          List.map (fun qt -> (qt, set)) ts)
-        (Structure.relations (Cq.structure q))
-    in
-    fun answer ->
-      List.for_all
-        (fun (qt, set) ->
-          Hashtbl.mem set (List.map (fun v -> List.assoc v answer) qt))
-        atoms
-  end
-  else begin
-    let free = Cq.free q in
-    let set = Hashtbl.create 1024 in
-    List.iter (fun a -> Hashtbl.replace set a ()) (Varelim.answers q d);
-    fun answer -> Hashtbl.mem set (List.map (fun v -> List.assoc v answer) free)
-  end
+(** [membership_oracle q d s] builds a fast test for [a ∈ Ans(q → D)]
+    beside [q]'s sampler [s]: a join-tree disjunct checks its atoms
+    against hashed database relations in O(#atoms) per query; any other
+    indexes the answer table its sampler holds, once.  The oracle is
+    read-only after construction, so pool domains share it freely. *)
+let membership_oracle (q : Cq.t) (d : Structure.t) (s : Sampler.t) : (int * int) list -> bool =
+  match s with
+  | Sampler.Table a ->
+      let mem = Elim.mem a in
+      fun answer -> mem (Array.map (fun v -> List.assoc v answer) a.cols)
+  | Sampler.Tree _ ->
+      let atoms =
+        List.concat_map
+          (fun (name, ts) ->
+            let set = Hashtbl.create 64 in
+            List.iter (fun t -> Hashtbl.replace set t ()) (Structure.relation d name);
+            List.map (fun qt -> (qt, set)) ts)
+          (Structure.relations (Cq.structure q))
+      in
+      fun answer ->
+        List.for_all
+          (fun (qt, set) ->
+            Hashtbl.mem set (List.map (fun v -> List.assoc v answer) qt))
+          atoms
 
 (* seed-rotation retry bound for degenerate draws *)
 let max_rotations = 3
@@ -175,7 +172,7 @@ let estimate ?(seed = 0xACE) ?(budget : Budget.t option)
   let samplers = Array.of_list (List.map (fun q -> Sampler.make q d) disjuncts) in
   let counts = Array.to_list (Array.map Sampler.cardinality samplers) in
   let members =
-    Array.of_list (List.map (fun q -> membership_oracle q d) disjuncts)
+    Array.of_list (List.mapi (fun i q -> membership_oracle q d samplers.(i)) disjuncts)
   in
   estimate_with ~seed ?budget ?pool ~samples ~counts
     ~draw:(fun st i -> Sampler.draw st samplers.(i))

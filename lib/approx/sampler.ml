@@ -2,257 +2,57 @@
 
     The Karp–Luby estimator ({!Karp_luby}) needs, per disjunct, (a) the
     exact answer count and (b) uniform samples from the answer set.  For
-    acyclic quantifier-free queries both come from the join tree: the
-    bottom-up counting pass of Yannakakis stores, for every node and tuple,
-    the number of consistent subtree extensions; a top-down pass then draws
-    a tuple at the root proportionally to its extension count and matching
-    child tuples proportionally to theirs — an exactly uniform sample in
-    linear preprocessing / logarithmic-ish drawing time.  Other query
-    shapes fall back to materialising the answer set. *)
+    acyclic quantifier-free queries both come from {!Elim.tree}, whose
+    rows carry the number of extensions into their subtrees: a draw
+    takes a root row with probability proportional to its count, then,
+    node by node, a live row of the bucket its parent's row selects
+    proportionally to its count (Arenas et al.) — an exactly uniform
+    sample.  Other query shapes draw from the materialised answer table
+    of {!Elim.answers}. *)
 
-type node = {
-  vars : int list;
-  tuples : (int array * int) array; (* tuple values, subtree count *)
-  children : (int * int list) list; (* child node index, positions of shared vars *)
-  (* child key -> candidate (tuple index in child, count) *)
-  child_index : (int list, (int * int) list) Hashtbl.t array;
-}
+type t = Tree of Elim.tree | Table of Elim.table
 
-type t =
-  | Join_tree of {
-      nodes : node array;
-      root : int;
-      total : int;
-      free_order : int list; (* sorted free variables of the query *)
-      isolated : int list;
-      domain : int array;
-    }
-  | Materialised of { free_order : int list; answers : int list array }
-
-
-(* ------------------------------------------------------------------ *)
-(* Construction                                                       *)
-(* ------------------------------------------------------------------ *)
-
-let make_join_tree (q : Cq.t) (d : Structure.t) : t option =
-  if not (Cq.is_quantifier_free q) then None
-  else begin
-    let a = Cq.structure q in
-    if not (Signature.subset (Structure.signature a) (Structure.signature d))
-    then None
-    else begin
-      let atoms =
-        List.concat_map
-          (fun (name, ts) ->
-            let td = Structure.relation d name in
-            List.map (fun qt -> Relation.of_atom qt td) ts)
-          (Structure.relations a)
-      in
-      if atoms = [] then None
-      else begin
-        let h =
-          Hypergraph.make (Structure.universe a)
-            (List.map (fun r -> r.Relation.vars) atoms)
-        in
-        match Hypergraph.join_tree h with
-        | None -> None
-        | Some jt ->
-            let atoms_arr = Array.of_list atoms in
-            let m = Array.length atoms_arr in
-            (* root at 0, BFS orientation *)
-            let adj = Array.make m [] in
-            List.iter
-              (fun (x, y) ->
-                adj.(x) <- y :: adj.(x);
-                adj.(y) <- x :: adj.(y))
-              jt.Hypergraph.tree;
-            let parent = Array.make m (-1) in
-            let children = Array.make m [] in
-            let visited = Array.make m false in
-            let topo = ref [] in
-            let queue = Queue.create () in
-            Queue.add 0 queue;
-            visited.(0) <- true;
-            while not (Queue.is_empty queue) do
-              let x = Queue.pop queue in
-              topo := x :: !topo;
-              List.iter
-                (fun y ->
-                  if not visited.(y) then begin
-                    visited.(y) <- true;
-                    parent.(y) <- x;
-                    children.(x) <- y :: children.(x);
-                    Queue.add y queue
-                  end)
-                adj.(x)
-            done;
-            (* bottom-up counts *)
-            let nodes = Array.make m None in
-            let counts :
-                (int list, (int * int) list) Hashtbl.t array =
-              (* per node: parent key -> (tuple index, count) list *)
-              Array.init m (fun _ -> Hashtbl.create 64)
-            in
-            List.iter
-              (fun i ->
-                let rel = atoms_arr.(i) in
-                let vars_i = rel.Relation.vars in
-                let tuples = Array.of_list rel.Relation.tuples in
-                let child_info =
-                  List.map
-                    (fun c ->
-                      let itx =
-                        Listx.inter_sorted (atoms_arr.(c)).Relation.vars vars_i
-                      in
-                      let pos = List.map (fun v -> Listx.index_of v vars_i) itx in
-                      (c, pos))
-                    children.(i)
-                in
-                let parent_pos =
-                  if parent.(i) < 0 then []
-                  else
-                    List.map
-                      (fun v -> Listx.index_of v vars_i)
-                      (Listx.inter_sorted vars_i
-                         (atoms_arr.(parent.(i))).Relation.vars)
-                in
-                let tuple_counts =
-                  Array.map
-                    (fun t ->
-                      let arr = Array.of_list t in
-                      let c =
-                        List.fold_left
-                          (fun acc (child, pos) ->
-                            if acc = 0 then 0
-                            else begin
-                              let key = List.map (fun p -> arr.(p)) pos in
-                              let entries =
-                                Option.value ~default:[]
-                                  (Hashtbl.find_opt counts.(child) key)
-                              in
-                              acc * Listx.sum (List.map snd entries)
-                            end)
-                          1 child_info
-                      in
-                      (arr, c))
-                    tuples
-                in
-                (* publish into the parent-facing table *)
-                Array.iteri
-                  (fun idx (arr, c) ->
-                    if c > 0 then begin
-                      let key = List.map (fun p -> arr.(p)) parent_pos in
-                      Hashtbl.replace counts.(i) key
-                        ((idx, c)
-                        :: Option.value ~default:[] (Hashtbl.find_opt counts.(i) key))
-                    end)
-                  tuple_counts;
-                let child_index =
-                  Array.of_list (List.map (fun (c, _) -> counts.(c)) child_info)
-                in
-                nodes.(i) <-
-                  Some
-                    {
-                      vars = vars_i;
-                      tuples = tuple_counts;
-                      children = child_info;
-                      child_index;
-                    })
-              !topo;
-            let nodes = Array.map Option.get nodes in
-            let total =
-              Hashtbl.fold
-                (fun _ entries acc -> acc + Listx.sum (List.map snd entries))
-                counts.(0) 0
-            in
-            let covered =
-              List.sort_uniq compare (List.concat_map (fun r -> r.Relation.vars) atoms)
-            in
-            let isolated =
-              List.filter (fun v -> not (List.mem v covered)) (Structure.universe a)
-            in
-            Some
-              (Join_tree
-                 {
-                   nodes;
-                   root = 0;
-                   total = total * Combinat.power_int (Structure.universe_size d) (List.length isolated);
-                   free_order = Cq.free q;
-                   isolated;
-                   domain = Array.of_list (Structure.universe d);
-                 })
-      end
-    end
-  end
-
-(** [make q d] builds a sampler for [Ans(q → D)], preferring the join-tree
-    construction and falling back to materialisation. *)
 let make (q : Cq.t) (d : Structure.t) : t =
-  match make_join_tree q d with
-  | Some s -> s
-  | None ->
-      Materialised
-        { free_order = Cq.free q; answers = Array.of_list (Varelim.answers q d) }
+  match Elim.tree q d with Some t -> Tree t | None -> Table (Elim.answers q d)
 
-(** [cardinality s] is the exact answer count behind the sampler. *)
-let cardinality (s : t) : int =
-  match s with
-  | Join_tree j -> j.total
-  | Materialised m -> Array.length m.answers
-
-(* ------------------------------------------------------------------ *)
-(* Drawing                                                            *)
-(* ------------------------------------------------------------------ *)
+let cardinality (s : t) : int = match s with Tree t -> t.total | Table a -> a.rows
 
 (** weighted choice from a non-empty list of (value, weight > 0) *)
 let weighted_choice (st : Random.State.t) (entries : ('a * int) list) : 'a =
   let total = Listx.sum (List.map snd entries) in
-  let r = Random.State.int st total in
+  let r = Random.State.full_int st total in
   let rec pick acc = function
     | [] -> invalid_arg "weighted_choice"
     | (v, w) :: rest -> if r < acc + w then v else pick (acc + w) rest
   in
   pick 0 entries
 
-(** [draw st s] samples a uniformly random answer as an association list
-    (sorted free variable → value).  Returns [None] when the answer set is
-    empty. *)
 let draw (st : Random.State.t) (s : t) : (int * int) list option =
   match s with
-  | Materialised m ->
-      if Array.length m.answers = 0 then None
+  | Table a ->
+      if a.rows = 0 then None
       else begin
-        let t = m.answers.(Random.State.int st (Array.length m.answers)) in
-        Some (List.combine m.free_order t)
+        let w = Array.length a.cols and r = Random.State.full_int st a.rows in
+        Some (List.init w (fun j -> (a.cols.(j), a.data.((r * w) + j))))
       end
-  | Join_tree j ->
-      if j.total = 0 then None
+  | Tree t ->
+      if t.total = 0 then None
       else begin
-        let assignment = Hashtbl.create 16 in
-        let rec descend (i : int) (tuple_idx : int) : unit =
-          let node = j.nodes.(i) in
-          let arr, _ = node.tuples.(tuple_idx) in
-          List.iteri (fun p v -> Hashtbl.replace assignment v arr.(p)) node.vars;
-          List.iteri
-            (fun ci (child, pos) ->
-              let key = List.map (fun p -> arr.(p)) pos in
-              let entries = Hashtbl.find node.child_index.(ci) key in
-              let child_tuple = weighted_choice st entries in
-              descend child child_tuple)
-            node.children
-        in
-        (* pick a root tuple proportional to its count *)
-        let root = j.nodes.(j.root) in
-        let entries =
-          Array.to_list root.tuples
-          |> List.mapi (fun idx (_, c) -> (idx, c))
-          |> List.filter (fun (_, c) -> c > 0)
-        in
-        descend j.root (weighted_choice st entries);
-        List.iter
-          (fun v ->
-            Hashtbl.replace assignment v
-              j.domain.(Random.State.int st (Array.length j.domain)))
-          j.isolated;
-        Some (List.map (fun v -> (v, Hashtbl.find assignment v)) j.free_order)
+        let asg = Array.make (Array.length t.free) 0 in
+        Array.iter
+          (fun (n : Elim.node) ->
+            let b = n.find asg in
+            let x = Random.State.full_int st n.acc.(n.start.(b + 1) - 1) in
+            (* the first place whose running count passes [x] *)
+            let rec search lo hi =
+              if lo = hi then lo
+              else
+                let mid = (lo + hi) / 2 in
+                if x < n.acc.(mid) then search lo mid else search (mid + 1) hi
+            in
+            let r = n.live.(search n.start.(b) (n.start.(b + 1) - 1)) and a = Array.length n.vars in
+            Array.iteri (fun c v -> asg.(v) <- n.data.((r * a) + c)) n.vars)
+          t.nodes;
+        Array.iter (fun v -> asg.(v) <- t.universe.(Random.State.full_int st (Array.length t.universe))) t.spread;
+        Some (Array.to_list (Array.map2 (fun v x -> (v, x)) t.free asg))
       end

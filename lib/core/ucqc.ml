@@ -19,12 +19,16 @@
 
     {b Query processing}
     - {!Hom} — homomorphism search (the semantics of CQ answers)
-    - {!Jointree_count} — linear-time counting for acyclic quantifier-free
-      CQs (Theorems 4/37)
-    - {!Treedec_count} — the [n^(tw+1)] counting dynamic program, in
-      exact arithmetic (Theorem 28's tensor products, an oracle)
-    - {!Relation}, {!Varelim}, {!Counting} — relational algebra, variable
-      elimination for quantified queries, strategy dispatch
+    - {!Elim}, {!Counting} — the one elimination engine behind every
+      per-term count, with its answer tables and the reduced join tree of
+      an acyclic quantifier-free term; strategy dispatch over its orders
+    - {!Enumerate} — constant-delay enumeration over that join tree
+      (Section 1.1)
+    - {!Jointree_count}, {!Treedec_count}, {!Varelim} — exact-arithmetic
+      oracles: join-tree counting for acyclic quantifier-free CQs
+      (Theorems 4/37), the [n^(tw+1)] dynamic program (Theorem 28's
+      tensor products), variable elimination over materialised relations
+      for quantified CQs
     - {!Generators} — synthetic databases
 
     {b The paper's objects}
@@ -62,8 +66,9 @@
     {b Extensions}
     - {!Parse}, {!Pretty} — a Datalog-flavoured surface syntax for queries
       and databases (used by the [ucqc] command-line tool)
-    - {!Sampler}, {!Karp_luby} — uniform answer sampling and the Karp–Luby
-      (ε, δ)-approximation for UCQ counts (Section 1.2)
+    - {!Sampler}, {!Karp_luby} — uniform answer sampling (from the join
+      tree, or an answer table) and the Karp–Luby (ε, δ)-approximation for
+      UCQ counts (Section 1.2)
     - {!Dynamic} — constant-time dynamic counting for q-hierarchical CQs
       (the Berkholz–Keppeler–Schweikardt setting of Section 1.2)
     - {!Paper_examples} — the worked objects of the paper (Figures 1/2,
@@ -89,7 +94,6 @@ module Struct_iso = Struct_iso
 module Hom = Hom
 module Jointree_count = Jointree_count
 module Treedec_count = Treedec_count
-module Relation = Relation
 module Varelim = Varelim
 module Elim = Elim
 module Counting = Counting

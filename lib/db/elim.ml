@@ -13,7 +13,12 @@
     over some of its variables.  Each atom's copy then keeps only the
     rows that agree with the restriction on the variables they share (a
     semijoin, done while copying), and the restriction joins the
-    elimination as one more factor.  See DESIGN.md §15. *)
+    elimination as one more factor.
+
+    An acyclic quantifier-free term also has a reduced join tree over
+    the same copies: the atoms' factors along a GYO join tree, each
+    node's live rows bucketed by the key it shares with its parent, in
+    the interned-key tables the joins index with.  See DESIGN.md §15. *)
 
 type order = Projecting | Summing | Acyclic
 
@@ -97,6 +102,30 @@ let intern (t : keys) (buf : int array) : int =
     id
   end
 
+(* [index f key n row] interns the values at the columns [key] of the
+   rows [row 0 .. row (n - 1)] of [f] and buckets those rows by them: key
+   [id]'s rows are [perm.(start.(id)) .. perm.(start.(id + 1) - 1)], in
+   the order given. *)
+let index (f : factor) (key : int array) (n : int) (row : int -> int) : keys * int array * int array =
+  let a = Array.length f.vars and w = Array.length key in
+  let t = create w n and ids = Array.make n 0 and buf = Array.make (max 1 w) 0 in
+  for i = 0 to n - 1 do
+    let r = row i in
+    for j = 0 to w - 1 do buf.(j) <- f.data.((r * a) + key.(j)) done;
+    let id = intern t buf in
+    ids.(i) <- id;
+    t.vals.(id) <- t.vals.(id) + 1
+  done;
+  let start = Array.make (t.size + 1) 0 in
+  for id = 0 to t.size - 1 do start.(id + 1) <- start.(id) + t.vals.(id) done;
+  let perm = Array.make n 0 in
+  for i = n - 1 downto 0 do
+    let id = ids.(i) in
+    t.vals.(id) <- t.vals.(id) - 1;
+    perm.(start.(id) + t.vals.(id)) <- row i
+  done;
+  (t, start, perm)
+
 (* ------------------------------------------------------------------ *)
 (* Join and group by, fused                                           *)
 (* ------------------------------------------------------------------ *)
@@ -124,26 +153,9 @@ let combine ~(exists : bool) ?(tick : Budget.t option) (nv : int) (fs : factor l
     (Array.of_list key, Array.of_list fresh)
   in
   let cols = Array.map split fs in
-  let index i =
-    let f = fs.(i) and key = fst cols.(i) and a = Array.length fs.(i).vars in
-    let t = create (Array.length key) f.rows and ids = Array.make f.rows 0 in
-    for r = 0 to f.rows - 1 do
-      for j = 0 to Array.length key - 1 do buf.(j) <- f.data.((r * a) + key.(j)) done;
-      let id = intern t buf in
-      ids.(r) <- id;
-      t.vals.(id) <- t.vals.(id) + 1
-    done;
-    let start = Array.make (t.size + 1) 0 in
-    for id = 0 to t.size - 1 do start.(id + 1) <- start.(id) + t.vals.(id) done;
-    let perm = Array.make f.rows 0 in
-    for r = f.rows - 1 downto 0 do
-      let id = ids.(r) in
-      t.vals.(id) <- t.vals.(id) - 1;
-      perm.(start.(id) + t.vals.(id)) <- r
-    done;
-    (t, start, perm)
+  let idx =
+    Array.init k (fun i -> if i = 0 then (create 0 0, [||], [||]) else index fs.(i) (fst cols.(i)) fs.(i).rows Fun.id)
   in
-  let idx = Array.init k (fun i -> if i = 0 then (create 0 0, [||], [||]) else index i) in
   let g = create (Array.length out) 16 and joined = ref 0 in
   let rec go i w =
     if i = k then begin
@@ -493,7 +505,8 @@ let answers ?(budget : Budget.t option) ?(restrict : table option) (q : Cq.t) (d
             { cols; rows = g.rows; data = g.data })
   end
 
-let union (cols : int array) (ts : table list) : table =
+(* The distinct rows of the tables [ts], all over [cols], interned. *)
+let interned (cols : int array) (ts : table list) : keys =
   let w = Array.length cols in
   let g = create w (List.fold_left (fun acc (t : table) -> acc + t.rows) 0 ts) in
   let buf = Array.make w 0 in
@@ -505,4 +518,93 @@ let union (cols : int array) (ts : table list) : table =
         ignore (intern g buf : int)
       done)
     ts;
+  g
+
+let union (cols : int array) (ts : table list) : table =
+  let g = interned cols ts in
   { cols; rows = g.size; data = g.keys }
+
+let mem (t : table) : int array -> bool =
+  let g = interned t.cols [ t ] in
+  fun row -> find g row >= 0
+
+(* ------------------------------------------------------------------ *)
+(* The reduced join tree                                              *)
+(* ------------------------------------------------------------------ *)
+
+type node = {
+  vars : int array;
+  data : int array;
+  find : int array -> int;
+  start : int array;
+  live : int array;
+  acc : int array;
+}
+
+type tree = { nodes : node array; free : int array; spread : int array; universe : int array; total : int }
+
+(* The nodes over the factors [fs] along the join tree [jt] of their
+   variable sets, bottom-up.  Each ear's parent is its witness, removed
+   after it, so the root, then the ears latest-removed first, puts
+   parents first. *)
+let grow (nv : int) (fs : factor array) (jt : Hypergraph.join_tree) : node array =
+  let m = Array.length fs in
+  let order = Array.of_list (List.filter (fun i -> not (List.mem_assoc i jt.tree)) (List.init m Fun.id) @ List.map fst jt.tree) in
+  let at = Array.make m 0 in
+  Array.iteri (fun j i -> at.(i) <- j) order;
+  let parent = Array.init m (fun j -> if j = 0 then -1 else at.(List.assoc order.(j) jt.tree)) in
+  let built = Array.make m None and asg = Array.make nv 0 in
+  for j = m - 1 downto 0 do
+    let f = fs.(order.(j)) in
+    let kids = List.filter_map (fun k -> if parent.(k) = j then built.(k) else None) (List.init m Fun.id) in
+    let a = Array.length f.vars in
+    let count = Array.make f.rows 0 and alive = Array.make f.rows 0 and nlive = ref 0 in
+    for r = 0 to f.rows - 1 do
+      Array.iteri (fun c v -> asg.(v) <- f.data.((r * a) + c)) f.vars;
+      (* live when every child has a live row under its key *)
+      let rec extend c = function
+        | [] ->
+            count.(r) <- c;
+            alive.(!nlive) <- r;
+            incr nlive
+        | k :: ks ->
+            let b = k.find asg in
+            if b >= 0 then extend (c * k.acc.(k.start.(b + 1) - 1)) ks
+      in
+      extend 1 kids
+    done;
+    let up = if j = 0 then [||] else fs.(order.(parent.(j))).vars in
+    let key = List.filter (fun c -> Array.mem f.vars.(c) up) (List.init a Fun.id) |> Array.of_list in
+    let shared = Array.map (fun c -> f.vars.(c)) key in
+    let keys, start, live = index f key !nlive (fun i -> alive.(i)) in
+    let acc = Array.make !nlive 0 in
+    for b = 0 to keys.size - 1 do
+      for p = start.(b) to start.(b + 1) - 1 do
+        acc.(p) <- (if p = start.(b) then 0 else acc.(p - 1)) + count.(live.(p))
+      done
+    done;
+    let find asg = find keys (Array.map (fun v -> asg.(v)) shared) in
+    built.(j) <- Some { vars = f.vars; data = f.data; find; start; live; acc }
+  done;
+  Array.map Option.get built
+
+let tree (q : Cq.t) (d : Structure.t) : tree option =
+  if not (Cq.is_quantifier_free q) then None
+  else begin
+    let a = Cq.structure q in
+    let n = Structure.universe_size d and nv = List.length (Structure.universe a) in
+    let fs : factor array =
+      if Signature.subset (Structure.signature a) (Structure.signature d) then Array.of_list (setup n None q d).factors
+      else [| { vars = [||]; rows = 0; data = [||]; wt = [||] } |] (* a relation [d] lacks: no answer *)
+    in
+    let in_atom v = Array.exists (fun (f : factor) -> Array.mem v f.vars) fs in
+    let edges = Array.to_list (Array.map (fun (f : factor) -> Array.to_list f.vars) fs) in
+    Option.map
+      (fun jt ->
+        let nodes = grow nv fs jt in
+        let spread = List.filter (fun v -> not (in_atom v)) (List.init nv Fun.id) in
+        let root = if Array.length nodes = 0 then 1 else match nodes.(0).find [||] with -1 -> 0 | b -> nodes.(0).acc.(nodes.(0).start.(b + 1) - 1) in
+        { nodes; free = Array.of_list (Cq.free q); spread = Array.of_list spread;
+          universe = Array.of_list (Structure.universe d); total = root * Combinat.power_int n (List.length spread) })
+      (Hypergraph.join_tree (Hypergraph.make (List.init nv Fun.id) edges))
+  end

@@ -2,7 +2,9 @@
     relations a term names are copied once per call into flat [int]
     arrays, and variables are eliminated one at a time by a hash join
     fused with a hash group-by, which counts joined rows without
-    building them (DESIGN.md §15). *)
+    building them (DESIGN.md §15).  The same copies give a term's
+    answers as a flat table, and the reduced join tree that enumeration
+    and sampling walk. *)
 
 (** A flat relation over some of a term's variables: [rows] distinct
     rows over the variables [cols], row-major in [data] (which may run
@@ -62,3 +64,45 @@ val answers : ?budget:Budget.t -> ?restrict:table -> Cq.t -> Structure.t -> tabl
     [cols].
     @raise Invalid_argument when a table has other columns. *)
 val union : int array -> table list -> table
+
+(** [mem t] indexes the rows of [t] once and tests a row over [t.cols]
+    against them; the test is read-only, so domains may share it. *)
+val mem : table -> int array -> bool
+
+(** {1 The reduced join tree}
+
+    The answers of an acyclic quantifier-free term, for enumeration and
+    sampling (Carmeli–Kröll; Arenas et al.): one node per atom over the
+    factor {!count} copies, parents before children.  A row is {e live}
+    when every child of its node has a live row agreeing with it;
+    liveness does not read the counts.  Each node buckets its live rows
+    by the variables it shares with its parent (the root's all fall in
+    one bucket), so every live row of a bucket extends to an answer. *)
+
+type node = {
+  vars : int array;  (** the atom's distinct variables, as positions in [Cq.free] *)
+  data : int array;  (** its rows over [vars], row-major *)
+  find : int array -> int;
+      (** the bucket an assignment (indexed by variable) selects on the
+          variables shared with the parent, or [-1] when it has no live row *)
+  start : int array;
+  live : int array;
+      (** bucket [b]'s live rows are [live.(start.(b)) .. live.(start.(b + 1) - 1)] *)
+  acc : int array;
+      (** per place [p] in [live], the running sum over its bucket, up
+          to [live.(p)], of each row's {e count}: the assignments of its
+          subtree's variables that extend it (native ints: past 2{^62}
+          they wrap).  A bucket's last place holds its total. *)
+}
+
+type tree = {
+  nodes : node array;
+  free : int array;  (** the term's variables, sorted: [Cq.free] *)
+  spread : int array;  (** the variables in no atom, each ranging over [universe] *)
+  universe : int array;
+  total : int;  (** the number of answers (wraps past 2{^62}) *)
+}
+
+(** [tree q d] is the reduced join tree of [q] over [d], built without
+    charge, or [None] when [q] is quantified or cyclic. *)
+val tree : Cq.t -> Structure.t -> tree option

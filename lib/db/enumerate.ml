@@ -2,216 +2,68 @@
     quantifier-free conjunctive query (Bagan–Durand–Grandjean; the
     enumeration line of work the paper surveys in Section 1.1).
 
-    Preprocessing is linear: lift the atoms to relations, build a join
-    tree, and run a full reducer (bottom-up then top-down semijoin passes),
-    after which {e every} remaining tuple participates in at least one
-    answer.  Enumeration is a depth-first product over the join tree: at
-    each node the tuples matching the parent key are streamed from a hash
-    index, and since reduction guarantees each branch completes to an
-    answer, the delay between consecutive answers depends only on the
-    query.  Answers come out as a lazy {!Seq.t} over the sorted free
-    variables. *)
+    Preprocessing builds {!Elim.tree}: flat copies of the atoms, joined
+    along a join tree, with every node's live rows bucketed by the
+    variables it shares with its parent.  Enumeration is an odometer:
+    one digit per node, running over the live rows of the bucket its
+    parent's row selects, then one per variable in no atom, running over
+    the universe.  Since every live row extends to an answer, advancing
+    a digit and resetting the later ones yields the next answer after
+    work bounded by the query alone. *)
 
-type node = {
-  vars : int list;
-  tuples : int list list; (* after full reduction *)
-  children : child list;
-}
+type t = Elim.tree
 
-and child = {
-  child_node : node;
-  parent_positions : int list; (* positions of the shared vars in the parent's vars *)
-  index : (int list, int list list) Hashtbl.t; (* shared values -> child tuples *)
-}
-
-type t = {
-  roots : node list; (* one per join-tree component; [] when no atoms *)
-  free_order : int list;
-  isolated : int list;
-  domain : int list;
-  empty : bool; (* no answers at all (signature mismatch or empty domain for quantified parts) *)
-}
-
-exception Unsupported of string
-
-(** [prepare q d] runs the linear preprocessing.
-    @raise Unsupported unless [q] is acyclic and quantifier-free. *)
 let prepare (q : Cq.t) (d : Structure.t) : t =
   if not (Cq.is_quantifier_free q) then
-    raise (Unsupported "Enumerate: query must be quantifier-free");
-  let a = Cq.structure q in
-  if not (Signature.subset (Structure.signature a) (Structure.signature d))
-  then
-    { roots = []; free_order = Cq.free q; isolated = []; domain = []; empty = true }
-  else begin
-    let atoms =
-      List.concat_map
-        (fun (name, ts) ->
-          let td = Structure.relation d name in
-          List.map (fun qt -> Relation.of_atom qt td) ts)
-        (Structure.relations a)
-    in
-    let covered =
-      List.sort_uniq compare (List.concat_map (fun r -> r.Relation.vars) atoms)
-    in
-    let isolated =
-      List.filter (fun v -> not (List.mem v covered)) (Structure.universe a)
-    in
-    match atoms with
-    | [] ->
-        {
-          roots = [];
-          free_order = Cq.free q;
-          isolated;
-          domain = Structure.universe d;
-          empty = Structure.universe_size d = 0 && isolated <> [];
-        }
-    | _ -> begin
-        let h =
-          Hypergraph.make (Structure.universe a)
-            (List.map (fun r -> r.Relation.vars) atoms)
-        in
-        match Hypergraph.join_tree h with
-        | None -> raise (Unsupported "Enumerate: query must be acyclic")
-        | Some jt ->
-            let rels = Array.of_list atoms in
-            let m = Array.length rels in
-            let adj = Array.make m [] in
-            List.iter
-              (fun (x, y) ->
-                adj.(x) <- y :: adj.(x);
-                adj.(y) <- x :: adj.(y))
-              jt.Hypergraph.tree;
-            let parent = Array.make m (-1) in
-            let order = ref [] in
-            let visited = Array.make m false in
-            let queue = Queue.create () in
-            Queue.add 0 queue;
-            visited.(0) <- true;
-            parent.(0) <- 0;
-            while not (Queue.is_empty queue) do
-              let x = Queue.pop queue in
-              order := x :: !order;
-              List.iter
-                (fun y ->
-                  if not visited.(y) then begin
-                    visited.(y) <- true;
-                    parent.(y) <- x;
-                    Queue.add y queue
-                  end)
-                adj.(x)
-            done;
-            parent.(0) <- -1;
-            let bottom_up = !order (* children before parents *) in
-            let top_down = List.rev !order in
-            (* full reducer *)
-            List.iter
-              (fun i ->
-                if parent.(i) >= 0 then
-                  rels.(parent.(i)) <- Relation.semijoin rels.(parent.(i)) rels.(i))
-              bottom_up;
-            List.iter
-              (fun i ->
-                if parent.(i) >= 0 then
-                  rels.(i) <- Relation.semijoin rels.(i) rels.(parent.(i)))
-              top_down;
-            (* build nodes bottom-up *)
-            let built : node option array = Array.make m None in
-            List.iter
-              (fun i ->
-                let r = rels.(i) in
-                let child_ids =
-                  List.filter (fun j -> j <> i && parent.(j) = i) (List.init m (fun j -> j))
-                in
-                let children =
-                  List.map
-                    (fun j ->
-                      let c = Option.get built.(j) in
-                      let shared =
-                        List.filter (fun v -> List.mem v r.Relation.vars) c.vars
-                      in
-                      let parent_positions =
-                        List.map (fun v -> Listx.index_of v r.Relation.vars) shared
-                      in
-                      let cpos = List.map (fun v -> Listx.index_of v c.vars) shared in
-                      let index = Hashtbl.create (List.length c.tuples) in
-                      List.iter
-                        (fun t ->
-                          let arr = Array.of_list t in
-                          let k = List.map (fun p -> arr.(p)) cpos in
-                          Hashtbl.replace index k
-                            (t
-                            :: Option.value ~default:[] (Hashtbl.find_opt index k)))
-                        c.tuples;
-                      { child_node = c; parent_positions; index })
-                    child_ids
-                in
-                built.(i) <- Some { vars = r.Relation.vars; tuples = r.Relation.tuples; children })
-              bottom_up;
-            let root = Option.get built.(0) in
-            {
-              roots = [ root ];
-              free_order = Cq.free q;
-              isolated;
-              domain = Structure.universe d;
-              empty = root.tuples = [] || (Structure.universe_size d = 0 && isolated <> []);
-            }
-      end
-  end
+    raise (Counting.Unsupported "Enumerate: query must be quantifier-free");
+  match Elim.tree q d with
+  | Some t -> t
+  | None -> raise (Counting.Unsupported "Enumerate: query must be acyclic")
 
-(* environments from one node subtree, given the node's candidate tuples *)
-let rec subtree_envs (n : node) (candidates : int list list) :
-    (int * int) list Seq.t =
-  Seq.concat_map
-    (fun tuple ->
-      let arr = Array.of_list tuple in
-      let env = List.combine n.vars tuple in
-      List.fold_left
-        (fun acc (c : child) ->
-          let key = List.map (fun p -> arr.(p)) c.parent_positions in
-          let child_tuples =
-            Option.value ~default:[] (Hashtbl.find_opt c.index key)
-          in
-          Seq.concat_map
-            (fun partial ->
-              Seq.map
-                (fun child_env -> child_env @ partial)
-                (subtree_envs c.child_node child_tuples))
-            acc)
-        (Seq.return env) n.children)
-    (List.to_seq candidates)
+(* One walk over the answers, as a dispenser: [pos.(j)] is digit [j]'s
+   place in its range [.. stop.(j)), and [asg] the assignment the digits
+   spell. *)
+let walk (t : t) : unit -> int list option =
+  let m = Array.length t.nodes in
+  let digits = m + Array.length t.spread in
+  let pos = Array.make digits 0 and stop = Array.make digits 0 in
+  let asg = Array.make (Array.length t.free) 0 in
+  let set j =
+    if j < m then begin
+      let n = t.nodes.(j) in
+      let r = n.live.(pos.(j)) and a = Array.length n.vars in
+      Array.iteri (fun c v -> asg.(v) <- n.data.((r * a) + c)) n.vars
+    end
+    else asg.(t.spread.(j - m)) <- t.universe.(pos.(j))
+  in
+  (* digit [j]'s range, given the digits before it *)
+  let range j =
+    if j >= m then (0, Array.length t.universe)
+    else
+      let n = t.nodes.(j) in
+      match n.find asg with -1 -> (0, 0) | b -> (n.start.(b), n.start.(b + 1))
+  in
+  (* digits [j ..] to their first values; false when a range is empty
+     (only the root's, or a variable's over the empty universe) *)
+  let rec reset j =
+    j = digits
+    ||
+    let lo, hi = range j in
+    pos.(j) <- lo;
+    stop.(j) <- hi;
+    lo < hi && (set j; reset (j + 1))
+  in
+  let rec advance j =
+    j >= 0
+    &&
+    (pos.(j) <- pos.(j) + 1;
+     if pos.(j) < stop.(j) then (set j; reset (j + 1)) else advance (j - 1))
+  in
+  let started = ref false in
+  fun () ->
+    let more = if !started then advance (digits - 1) else (started := true; reset 0) in
+    if more then Some (Array.to_list asg) else None
 
-(** [answers t] lazily enumerates the answer set over the sorted free
-    variables. *)
-let answers (t : t) : int list Seq.t =
-  if t.empty then Seq.empty
-  else begin
-    let base =
-      List.fold_left
-        (fun acc root ->
-          Seq.concat_map
-            (fun partial ->
-              Seq.map
-                (fun env -> env @ partial)
-                (subtree_envs root root.tuples))
-            acc)
-        (Seq.return []) t.roots
-    in
-    (* expand isolated variables over the domain *)
-    let with_isolated =
-      List.fold_left
-        (fun acc v ->
-          Seq.concat_map
-            (fun env ->
-              Seq.map (fun value -> (v, value) :: env) (List.to_seq t.domain))
-            acc)
-        base t.isolated
-    in
-    Seq.map
-      (fun env -> List.map (fun v -> List.assoc v env) t.free_order)
-      with_isolated
-  end
+let answers (t : t) : int list Seq.t = fun () -> Seq.of_dispenser (walk t) ()
 
-(** [to_list t] materialises the enumeration (tests). *)
-let to_list (t : t) : int list list =
-  List.sort_uniq compare (List.of_seq (answers t))
+let to_list (t : t) : int list list = List.sort compare (List.of_seq (answers t))

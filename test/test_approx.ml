@@ -59,6 +59,69 @@ let test_sampler_uniformity () =
         (abs (c - (trials / 4)) < trials / 5))
     tally
 
+(* [trials] draws from the sampler of [q] over [db]: every answer of
+   [expected] must come up within 20% of [trials / expected]. *)
+let check_uniform (q : Cq.t) (db : Structure.t) (expected : int) (trials : int) =
+  let s = Sampler.make q db in
+  Alcotest.(check int) "answers" expected (Sampler.cardinality s);
+  let st = Random.State.make [| 11 |] in
+  let tally = Hashtbl.create expected in
+  for _ = 1 to trials do
+    match Sampler.draw st s with
+    | None -> Alcotest.fail "unexpected empty"
+    | Some a -> Hashtbl.replace tally a (1 + Option.value ~default:0 (Hashtbl.find_opt tally a))
+  done;
+  Alcotest.(check int) "every answer seen" expected (Hashtbl.length tally);
+  Hashtbl.iter
+    (fun _ c ->
+      Alcotest.(check bool) "frequency within 20% of uniform" true
+        (abs (c - (trials / expected)) < trials / expected / 5))
+    tally
+
+(* Node 0 has out-degree 3 and node 1 out-degree 1, so (x, y, z) :-
+   E(x, y), E(x, z) has 9 answers at x = 0 and 1 at x = 1: a tree draw
+   that ignored the subtree counts would give x = 1 half the time. *)
+let test_tree_uniformity () =
+  let db = Structure.make sg_e [ 0; 1; 2; 3 ] [ ("E", [ [ 0; 1 ]; [ 0; 2 ]; [ 0; 3 ]; [ 1; 2 ] ]) ] in
+  let q = mkcq 3 [ [ 0; 1 ]; [ 0; 2 ] ] [ 0; 1; 2 ] in
+  Alcotest.(check bool) "drawn from the join tree" true
+    (match Sampler.make q db with Sampler.Tree _ -> true | Sampler.Table _ -> false);
+  check_uniform q db 10 10_000
+
+(* (x, z) :- E(x, y), E(y, z) has 11 answers: the pair (0, 3) has three
+   witnesses y and every other one, and each must still come up equally
+   often. *)
+let test_table_uniformity () =
+  let db =
+    Structure.make sg_e [ 0; 1; 2; 3; 4 ]
+      [ ("E", [ [ 0; 1 ]; [ 0; 2 ]; [ 0; 4 ]; [ 1; 3 ]; [ 2; 3 ]; [ 4; 3 ]; [ 3; 0 ]; [ 3; 2 ] ]) ]
+  in
+  let q = mkcq 3 [ [ 0; 1 ]; [ 1; 2 ] ] [ 0; 2 ] in
+  Alcotest.(check bool) "drawn from the answer table" true
+    (match Sampler.make q db with Sampler.Table _ -> true | Sampler.Tree _ -> false);
+  check_uniform q db 11 10_000
+
+(* [Random.State.int] refuses bounds of 2^30 and more. *)
+let test_weights_past_2_30 () =
+  let st = Random.State.make [| 3 |] in
+  ignore (Sampler.weighted_choice st [ ("heavy", 1 lsl 31); ("light", 1) ] : string);
+  let est =
+    Karp_luby.estimate_with ~seed:5 ~samples:20 ~counts:[ 1 lsl 31; 1 ]
+      ~draw:(fun _st _i -> Some [ (0, 0) ])
+      ~member:(fun _j _a -> false)
+      ()
+  in
+  Alcotest.(check int) "space" ((1 lsl 31) + 1) est.Karp_luby.space;
+  (* three independent edges over K40: 1560^3 answers, all under the
+     join tree's root *)
+  let db = Generators.clique_db 40 in
+  let q = mkcq 6 [ [ 0; 1 ]; [ 2; 3 ]; [ 4; 5 ] ] (List.init 6 Fun.id) in
+  let s = Sampler.make q db in
+  Alcotest.(check int) "tree cardinality" (1560 * 1560 * 1560) (Sampler.cardinality s);
+  match Sampler.draw st s with
+  | None -> Alcotest.fail "no draw"
+  | Some a -> Alcotest.(check bool) "a drawn answer" true (Hom.exists ~fixed:a (Cq.structure q) db)
+
 let test_sampler_empty () =
   let db = Generators.path_db 3 in
   (* no triangle in a path *)
@@ -170,6 +233,9 @@ let suite =
         Alcotest.test_case "draws are valid answers" `Quick
           test_sampler_draws_valid_answers;
         Alcotest.test_case "uniformity" `Quick test_sampler_uniformity;
+        Alcotest.test_case "tree draws weigh subtree counts" `Quick test_tree_uniformity;
+        Alcotest.test_case "table draws ignore witness counts" `Quick test_table_uniformity;
+        Alcotest.test_case "weights past 2^30" `Quick test_weights_past_2_30;
         Alcotest.test_case "empty answer set" `Quick test_sampler_empty;
         Alcotest.test_case "karp-luby on a union" `Quick test_karp_luby_exact_space;
         Alcotest.test_case "karp-luby with quantifiers" `Quick

@@ -1,10 +1,11 @@
 (** Tests for the per-term counting engine behind [Counting.count]: an
-    oracle suite against [Naive] and [count_big] over spread element ids,
-    the engine's restricted counts and answers against the term with the
-    restriction as one more atom, what a restricted join charges, and
-    the budget schedule each strategy charges, pinned against a
-    transcript recorded before the engines were replaced
-    ([budget_schedule.txt]). *)
+    oracle suite against [Naive], [count_big] and the backtracking answer
+    set over spread element ids (answer tables, and the join tree's
+    enumeration and draws too), the engine's restricted counts and
+    answers against the term with the restriction as one more atom,
+    what a restricted join charges, and the budget schedule each
+    strategy charges, pinned against a transcript recorded before the
+    engines were replaced ([budget_schedule.txt]). *)
 
 (* ------------------------------------------------------------------ *)
 (* Oracle suite                                                       *)
@@ -101,6 +102,27 @@ let qcheck_oracle =
         let terms = Ucq.support psi in
         let seq = Ucq.count_terms terms db in
         seq = Ucq.count_terms ~pool:(Lazy.force pool2) terms db && seq = Ucq.count_naive psi db);
+    Test.make ~name:"answers, enumeration and draws agree with naive" ~count:400 seeds
+      (fun (qs, ds) ->
+        let db = oracle_db ds in
+        let agree q =
+          let naive = Test_db.naive_answers q db in
+          Test_db.table_rows (Elim.answers q db) = naive
+          && ((not (Cq.is_quantifier_free q && Cq.is_acyclic q))
+             ||
+             let s = Sampler.make q db and st = Random.State.make [| qs; ds |] in
+             let drawn _ =
+               match Sampler.draw st s with
+               | None -> naive = []
+               | Some a -> List.map fst a = Cq.free q && List.mem (List.map snd a) naive
+             in
+             Enumerate.to_list (Enumerate.prepare q db) = naive
+             && Sampler.cardinality s = Counting.count ~strategy:Counting.Naive q db
+             && List.for_all drawn (List.init 5 Fun.id))
+        in
+        (* the term as drawn, and with every variable free *)
+        let q = oracle_cq qs in
+        agree q && agree (Cq.of_structure (Cq.structure q)));
     Test.make ~name:"restricted counts and answers agree with an extra atom" ~count:300
       (triple (int_range 0 1_000_000) (int_range 0 1_000_000) (int_range 0 1_000_000))
       (fun (qs, ds, rs) ->
@@ -108,14 +130,9 @@ let qcheck_oracle =
         let r, q', db' = restricted qs rs q db in
         let naive = Counting.count ~strategy:Counting.Naive q' db' in
         let by order = Elim.count ~restrict:r order q db = naive in
-        let answers = Elim.answers ~restrict:r q db in
-        let rows =
-          List.init answers.Elim.rows (fun i ->
-              Array.to_list (Array.sub answers.Elim.data (i * Array.length answers.Elim.cols) (Array.length answers.Elim.cols)))
-        in
         by Elim.Projecting
         && ((not (Cq.is_quantifier_free q)) || (by Elim.Summing && by Elim.Acyclic))
-        && List.sort compare rows = Varelim.answers q' db');
+        && Test_db.table_rows (Elim.answers ~restrict:r q db) = Test_db.naive_answers q' db');
   ]
 
 (* (x) :- A(x, y), B(y) restricted to x = 0, where 0 has 100 A-edges

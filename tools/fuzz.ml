@@ -70,7 +70,17 @@ let () =
               [ ("AUTO", Auto); ("YANNAKAKIS", Yannakakis); ("WEIGHTED", Weighted);
                 ("VARELIM", Varelim) ];
           if Bigint.to_int_opt (Counting.count_big q db) <> Some naive then
-            report "BIG mismatch seed %d" seed
+            report "BIG mismatch seed %d" seed;
+          (* the answer table, and on acyclic quantifier-free terms the
+             join tree's enumeration and sampler, hold as many answers *)
+          if (Elim.answers q db).Elim.rows <> naive then
+            report "ANSWERS mismatch seed %d" seed;
+          if Cq.is_quantifier_free q && Cq.is_acyclic q then begin
+            if List.length (Enumerate.to_list (Enumerate.prepare q db)) <> naive then
+              report "ENUMERATE mismatch seed %d" seed;
+            if Sampler.cardinality (Sampler.make q db) <> naive then
+              report "SAMPLER mismatch seed %d" seed
+          end
         done);
     (* UCQ counting *)
     section "fuzz.ucq-counting" (fun () ->
