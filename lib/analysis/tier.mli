@@ -6,8 +6,9 @@
     classification the lint rules already run:
 
     - {b Tier A} — the query is exhaustively q-hierarchical (Section
-      1.2, Berkholz–Keppeler–Schweikardt): a [Dynamic_ucq] state
-      answers every update in O(1) data complexity.
+      1.2, Berkholz–Keppeler–Schweikardt): one [Dynamic] instance per
+      Lemma 26 support term answers every update in O(1) data
+      complexity.
     - {b Tier B} — every combined query [∧(Ψ|J)] is alpha-acyclic: a
       per-update delta evaluation through the variable-elimination path
       of [lib/db], restricted to homomorphisms through the changed

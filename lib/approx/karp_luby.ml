@@ -29,10 +29,13 @@ type estimate = {
 (** [membership_oracle q d s] builds a fast test for [a ∈ Ans(q → D)]
     beside [q]'s sampler [s]: a join-tree disjunct checks its atoms
     against hashed database relations in O(#atoms) per query; any other
-    indexes the answer table its sampler holds, once.  The oracle is
-    read-only after construction, so pool domains share it freely. *)
+    indexes the answer table its sampler holds, once.  A disjunct
+    without answers (one over a symbol [d] lacks among them) reads
+    nothing.  The oracle is read-only after construction, so pool
+    domains share it freely. *)
 let membership_oracle (q : Cq.t) (d : Structure.t) (s : Sampler.t) : (int * int) list -> bool =
   match s with
+  | _ when Sampler.cardinality s = 0 -> fun _ -> false
   | Sampler.Table a ->
       let mem = Elim.mem a in
       fun answer -> mem (Array.map (fun v -> List.assoc v answer) a.cols)
@@ -40,9 +43,12 @@ let membership_oracle (q : Cq.t) (d : Structure.t) (s : Sampler.t) : (int * int)
       let atoms =
         List.concat_map
           (fun (name, ts) ->
-            let set = Hashtbl.create 64 in
-            List.iter (fun t -> Hashtbl.replace set t ()) (Structure.relation d name);
-            List.map (fun qt -> (qt, set)) ts)
+            if ts = [] then []
+            else begin
+              let set = Hashtbl.create 64 in
+              List.iter (fun t -> Hashtbl.replace set t ()) (Structure.relation d name);
+              List.map (fun qt -> (qt, set)) ts
+            end)
           (Structure.relations (Cq.structure q))
       in
       fun answer ->
@@ -168,11 +174,12 @@ let estimate_with ?(seed = 0xACE) ?(budget : Budget.t option)
 let estimate ?(seed = 0xACE) ?(budget : Budget.t option)
     ?(pool : Pool.t option) ~(samples : int) (psi : Ucq.t) (d : Structure.t) :
     estimate =
-  let disjuncts = Ucq.disjuncts psi in
-  let samplers = Array.of_list (List.map (fun q -> Sampler.make q d) disjuncts) in
+  let disjuncts = Array.of_list (Ucq.disjuncts psi) in
+  let samplers = Array.map (fun q -> Sampler.make q d) disjuncts in
   let counts = Array.to_list (Array.map Sampler.cardinality samplers) in
+  (* a draw from disjunct i tests only j < i: the last needs no oracle *)
   let members =
-    Array.of_list (List.mapi (fun i q -> membership_oracle q d samplers.(i)) disjuncts)
+    Array.init (Array.length disjuncts - 1) (fun j -> membership_oracle disjuncts.(j) d samplers.(j))
   in
   estimate_with ~seed ?budget ?pool ~samples ~counts
     ~draw:(fun st i -> Sampler.draw st samplers.(i))

@@ -72,12 +72,12 @@ let default_delta = 0.05
    cap the server's drift tracker uses). *)
 let plan_predict_cap = 200_000
 
-(** [count ?via ?fallback ?optimize ?select ?epsilon ?delta
-    ?seed ~budget psi d] counts [ans(Ψ → D)] exactly (via the CQ
-    expansion by default) under [budget].  On exhaustion, when
-    [fallback] (default [true]), it degrades to the un-budgeted
-    Karp–Luby [(ε, δ)]-estimate — polynomial per sample — tagged with
-    the exhaustion record; with [fallback = false] the exhaustion
+(** [count ?via ?fallback ?optimize ?select ?seed ~budget psi d]
+    counts [ans(Ψ → D)] exactly (via the CQ expansion by default) under
+    [budget].  On exhaustion, when [fallback] (default [true]), it
+    degrades to the un-budgeted Karp–Luby [(ε, δ)]-estimate at
+    {!default_epsilon} and {!default_delta} — polynomial per sample —
+    tagged with the exhaustion record; with [fallback = false] the exhaustion
     becomes [Error (Budget_exhausted _)].
 
     [optimize] (default [false]) first applies the count-preserving
@@ -92,8 +92,7 @@ let plan_predict_cap = 200_000
     Selection only ever skips work — a wrong [Exact] verdict still
     degrades normally on exhaustion. *)
 let count ?(via = Expansion) ?(fallback = true)
-    ?(optimize = false) ?(select = false) ?(epsilon = default_epsilon)
-    ?(delta = default_delta) ?seed ?(pool : Pool.t option)
+    ?(optimize = false) ?(select = false) ?seed ?(pool : Pool.t option)
     ~(budget : Budget.t) (psi : Ucq.t) (d : Structure.t) :
     (count_outcome, Ucqc_error.t) result =
   let psi =
@@ -156,6 +155,7 @@ let count ?(via = Expansion) ?(fallback = true)
   let estimate ~exhausted ~abandoned =
     degraded_event ~task:"count" ~fallback:"karp-luby" abandoned;
     guard (fun () ->
+        let epsilon = default_epsilon and delta = default_delta in
         let est = Karp_luby.fpras ?seed ?pool ~epsilon ~delta psi d in
         Approximate
           { value = est.Karp_luby.value; epsilon; delta; exhausted; abandoned })
@@ -181,21 +181,6 @@ let count ?(via = Expansion) ?(fallback = true)
     | Ok (Error exhausted, abandoned) ->
         if not fallback then Error (Ucqc_error.of_exhaustion exhausted)
         else estimate ~exhausted ~abandoned
-
-(** [approx ?seed ~epsilon ~delta ~budget psi d] runs the Karp–Luby
-    estimator under [budget] directly (no further fallback exists below
-    it). *)
-let approx ?seed ?(pool : Pool.t option) ~(epsilon : float)
-    ~(delta : float) ~(budget : Budget.t) (psi : Ucq.t) (d : Structure.t) :
-    (Karp_luby.estimate, Ucqc_error.t) result =
-  match
-    guard (fun () ->
-        Budget.run budget ~phase:"approx" (fun () ->
-            Karp_luby.fpras ?seed ?pool ~budget ~epsilon ~delta psi d))
-  with
-  | Error e -> Error e
-  | Ok (Ok est) -> Ok est
-  | Ok (Error exhausted) -> Error (Ucqc_error.of_exhaustion exhausted)
 
 (* ------------------------------------------------------------------ *)
 (* Treewidth                                                          *)
@@ -308,9 +293,6 @@ let count_exit_code : (count_outcome, Ucqc_error.t) result -> int =
 
 let treewidth_exit_code : (treewidth_outcome, Ucqc_error.t) result -> int =
   exit_code ~degraded:(function Exact_width _ -> false | Heuristic _ -> true)
-
-let dimension_exit_code : (dimension_outcome, Ucqc_error.t) result -> int =
-  exit_code ~degraded:(function Exact_dim _ -> false | Bounds _ -> true)
 
 (* ------------------------------------------------------------------ *)
 (* Static pre-flight                                                  *)

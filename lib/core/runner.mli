@@ -56,10 +56,10 @@ val default_epsilon : float
 val default_delta : float
 (** [0.05] — failure probability of the degraded estimate. *)
 
-(** [count ?via ?fallback ?optimize ?select ?epsilon ?delta
-    ?seed ~budget psi d] counts [ans(Ψ → D)] exactly under [budget],
-    degrading to a Karp–Luby estimate on exhaustion (unless
-    [fallback = false]).
+(** [count ?via ?fallback ?optimize ?select ?seed ~budget psi d]
+    counts [ans(Ψ → D)] exactly under [budget], degrading to a
+    Karp–Luby estimate at {!default_epsilon} and {!default_delta} on
+    exhaustion (unless [fallback = false]).
 
     [optimize] (default [false]) first applies the count-preserving
     cover optimizer ({!Optimize.run}) — same count, fewer disjuncts.
@@ -76,27 +76,12 @@ val count :
   ?fallback:bool ->
   ?optimize:bool ->
   ?select:bool ->
-  ?epsilon:float ->
-  ?delta:float ->
   ?seed:int ->
   ?pool:Pool.t ->
   budget:Budget.t ->
   Ucq.t ->
   Structure.t ->
   (count_outcome, Ucqc_error.t) result
-
-(** [approx ?seed ~epsilon ~delta ~budget psi d] runs the Karp–Luby
-    estimator under [budget]; exhaustion is always an error (nothing to
-    degrade to). *)
-val approx :
-  ?seed:int ->
-  ?pool:Pool.t ->
-  epsilon:float ->
-  delta:float ->
-  budget:Budget.t ->
-  Ucq.t ->
-  Structure.t ->
-  (Karp_luby.estimate, Ucqc_error.t) result
 
 (** {2 Treewidth} *)
 
@@ -165,4 +150,3 @@ val exit_degraded : int
 val exit_code : degraded:('a -> bool) -> ('a, Ucqc_error.t) result -> int
 val count_exit_code : (count_outcome, Ucqc_error.t) result -> int
 val treewidth_exit_code : (treewidth_outcome, Ucqc_error.t) result -> int
-val dimension_exit_code : (dimension_outcome, Ucqc_error.t) result -> int

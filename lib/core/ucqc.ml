@@ -120,5 +120,4 @@ module Pretty = Pretty
 module Sampler = Sampler
 module Karp_luby = Karp_luby
 module Dynamic = Dynamic
-module Dynamic_ucq = Dynamic_ucq
 module Paper_examples = Paper_examples

@@ -39,7 +39,7 @@ let count ?(strategy = Auto) ?(budget : Budget.t option)
   (* a term naming a relation the database lacks counts 0 in any order *)
   let acyclic () =
     Cq.is_acyclic q
-    || not (Signature.subset (Structure.signature (Cq.structure q)) (Structure.signature d))
+    || not (Structure.covered_by (Cq.structure q) d)
   in
   let elim c order =
     Telemetry.incr c;

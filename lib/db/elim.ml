@@ -454,7 +454,7 @@ let count ?(budget : Budget.t option) ?(restrict : table option) (order : order)
     (d : Structure.t) : int =
   let a = Cq.structure q in
   let n = Structure.universe_size d in
-  if not (Signature.subset (Structure.signature a) (Structure.signature d)) then 0
+  if not (Structure.covered_by a d) then 0
   else if n = 0 && order = Projecting then if holds_on_empty ?budget restrict q d then 1 else 0
   else begin
     let s = setup n restrict q d in
@@ -482,7 +482,7 @@ let answers ?(budget : Budget.t option) ?(restrict : table option) (q : Cq.t) (d
   let cols = Array.of_list (Cq.free q) in
   let none = { cols; rows = 0; data = [||] } in
   let n = Structure.universe_size d in
-  if not (Signature.subset (Structure.signature (Cq.structure q)) (Structure.signature d)) then none
+  if not (Structure.covered_by (Cq.structure q) d) then none
   else if n = 0 then if holds_on_empty ?budget restrict q d then { cols; rows = 1; data = [||] } else none
   else begin
     let s = setup n restrict q d in
@@ -594,7 +594,7 @@ let tree (q : Cq.t) (d : Structure.t) : tree option =
     let a = Cq.structure q in
     let n = Structure.universe_size d and nv = List.length (Structure.universe a) in
     let fs : factor array =
-      if Signature.subset (Structure.signature a) (Structure.signature d) then Array.of_list (setup n None q d).factors
+      if Structure.covered_by a d then Array.of_list (setup n None q d).factors
       else [| { vars = [||]; rows = 0; data = [||]; wt = [||] } |] (* a relation [d] lacks: no answer *)
     in
     let in_atom v = Array.exists (fun (f : factor) -> Array.mem v f.vars) fs in

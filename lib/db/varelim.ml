@@ -75,7 +75,7 @@ let answer_relation (q : Cq.t) (d : Structure.t) : rel option =
 let count_big (q : Cq.t) (d : Structure.t) : Bigint.t =
   let n = Structure.universe_size d in
   if n = 0 then (if Cq.free q = [] && Hom.exists (Cq.structure q) d then Bigint.one else Bigint.zero)
-  else if not (Signature.subset (Structure.signature (Cq.structure q)) (Structure.signature d)) then Bigint.zero
+  else if not (Structure.covered_by (Cq.structure q) d) then Bigint.zero
   else
     match answer_relation q d with
     | None -> Bigint.zero

@@ -1,6 +1,6 @@
 (** Tiered incremental counting (see the interface for the model).
 
-    Tier B is the interesting case.  For a combined query [q] with free
+    Tier B is the interesting case.  For a support term [q] with free
     set [X] and an update [±R(t)], every answer gained or lost has a
     homomorphism mapping some [R]-atom onto [t].  So each occurrence
     [R(v1..vk)] in [q] whose variables bind consistently to [t] gives one
@@ -178,10 +178,9 @@ let binding (args : int list) (tuple : int list) : Elim.table option =
 (* Per-query states                                                   *)
 (* ------------------------------------------------------------------ *)
 
-type bterm = {
-  tsign : int;
-  tq : Cq.t;  (** normalized combined query: isolated variables dropped *)
-  iso_exp : int;  (** dropped isolated free variables *)
+(** A tier-B term's fold state. *)
+type fold = {
+  spread : int;  (** [|U|^k] for the [k] isolated free variables dropped *)
   occs : (string * int list list) list;  (** relation -> occurrence args *)
   mutable n : int;  (** maintained [ans(tq -> D)] *)
   mutable full_steps : int;  (** steps the last full count charged *)
@@ -190,11 +189,20 @@ type bterm = {
   mutable recounts : int;  (** folds the guard replaced by a recount *)
 }
 
-type bstate = { us : int; terms : bterm list }
+(** How a term is kept current: by {!Dynamic} on tier A, by folds on
+    tier B. *)
+type maintainer = Dyn of Dynamic.t | Fold of fold
+
+(** One support term of Lemma 26: a #core class with a non-zero
+    coefficient. *)
+type term = {
+  coef : int;  (** [c_Ψ] of the class *)
+  tq : Cq.t;  (** the class #core; on tier B, isolated variables dropped *)
+  by : maintainer;
+}
 
 type impl =
-  | TA of Dynamic_ucq.t
-  | TB of bstate
+  | Live of term list  (** the selected tier A or B *)
   | TC
 
 type state = {
@@ -210,7 +218,7 @@ let query (st : state) : Ucq.t = st.spsi
 let selection (st : state) : Tier.selection = st.sel
 
 let effective_tier (st : state) : Tier.t =
-  match st.impl with TA _ -> Tier.A | TB _ -> Tier.B | TC -> Tier.C
+  match st.impl with Live _ -> st.sel.Tier.tier | TC -> Tier.C
 
 let degraded (st : state) : string option = st.degraded_reason
 
@@ -220,63 +228,59 @@ let degrade (st : state) (reason : string) : unit =
 
 let recounts_c = Telemetry.counter "delta.fold.recounts"
 
-(** A full count of [t]'s query over [d], which also sets the term's
-    allowance: the steps the count charged plus the tuples it read (the
-    engine charges joins, not reads, so a quantifier-free term's count
-    charges no step). *)
-let full_count ?(budget : Budget.t option) (t : bterm) (d : Structure.t) : unit =
+(** A full count of [tq] over [d], which also sets the fold's allowance:
+    the steps the count charged plus the tuples it read (the engine
+    charges joins, not reads, so a quantifier-free term's count charges
+    no step). *)
+let full_count ?(budget : Budget.t option) (tq : Cq.t) (f : fold) (d : Structure.t) : unit =
   let b = match budget with Some b -> b | None -> Budget.unlimited () in
   let before = Budget.steps_done b in
-  t.n <- Counting.count ~strategy:Counting.Varelim ~budget:b t.tq d;
-  t.full_steps <- Budget.steps_done b - before;
-  t.reads <-
-    List.fold_left
-      (fun acc (name, ts) -> acc + (List.length ts * List.length (Structure.relation d name)))
-      0
-      (Structure.relations (Cq.structure t.tq))
+  f.n <- Counting.count ~strategy:Counting.Varelim ~budget:b tq d;
+  f.full_steps <- Budget.steps_done b - before;
+  f.reads <-
+    List.fold_left (fun acc (name, ts) -> acc + (List.length ts * List.length (Structure.relation d name))) 0 f.occs
 
-(** One tier-B term over the current database. *)
-let prepare_bterm ?(budget : Budget.t option) (d : db) (sign : int) (q0 : Cq.t)
-    : bterm =
-  let term tq iso_exp occs =
-    { tsign = sign; tq; iso_exp; occs; n = 0; full_steps = 0; reads = 0; fold_steps = 0; recounts = 0 }
-  in
-  let t =
-    if Structure.universe_size d.current = 0 then
-      (* no update can touch an empty universe: the count is frozen *)
-      term q0 0 []
-    else begin
-      let q1 = Cq.drop_isolated_quantified q0 in
-      let iso = Cq.isolated_variables q1 in
-      (* after dropping isolated quantified variables, every isolated
-         variable is free: each ranges over the whole universe *)
-      let a1 = Cq.structure q1 in
-      let qcov =
-        Cq.make
-          (Structure.delete_elements a1 iso)
-          (List.filter (fun v -> not (List.mem v iso)) (Cq.free q1))
+(** The support term [c·q0] over the current database: a {!Dynamic}
+    instance on tier A; on tier B, [q0] without its isolated variables
+    and a full count charged to [budget]. *)
+let prepare_term ?(budget : Budget.t option) (tier : Tier.t) (d : db)
+    ({ Ucq.representative = q0; coefficient = coef } : Ucq.expansion_term) : term =
+  match tier with
+  | Tier.A -> { coef; tq = q0; by = Dyn (Dynamic.create_exn q0 d.current) }
+  | Tier.B | Tier.C ->
+      let fold spread occs = { spread; occs; n = 0; full_steps = 0; reads = 0; fold_steps = 0; recounts = 0 } in
+      let us = Structure.universe_size d.current in
+      let tq, f =
+        if us = 0 then
+          (* no update can touch an empty universe: the count is frozen *)
+          (q0, fold 1 [])
+        else begin
+          let q1 = Cq.drop_isolated_quantified q0 in
+          let iso = Cq.isolated_variables q1 in
+          (* after dropping isolated quantified variables, every isolated
+             variable is free: each ranges over the whole universe *)
+          let qcov =
+            Cq.make
+              (Structure.delete_elements (Cq.structure q1) iso)
+              (List.filter (fun v -> not (List.mem v iso)) (Cq.free q1))
+          in
+          ( qcov,
+            fold
+              (Combinat.power_int us (List.length iso))
+              (List.filter (fun (_, ts) -> ts <> []) (Structure.relations (Cq.structure qcov))) )
+        end
       in
-      term qcov (List.length iso)
-        (List.filter (fun (_, ts) -> ts <> []) (Structure.relations (Cq.structure qcov)))
-    end
-  in
-  full_count ?budget t d.current;
-  t
+      full_count ?budget tq f d.current;
+      { coef; tq; by = Fold f }
 
-let bstate_count (b : bstate) : int =
-  List.fold_left
-    (fun acc t ->
-      acc + (t.tsign * t.n * Combinat.power_int b.us t.iso_exp))
-    0 b.terms
-
-(** The change in [t]'s count that [r] makes, through the given
+(** The change in [tq]'s count that [r] makes, through the given
     occurrences of the changed relation.  Every answer gained (lost) has
     a homomorphism mapping one of them onto the changed tuple, so each
     occurrence that binds consistently gives one restricted projecting
     call over the side holding the tuple; its answers are candidates.
     One projecting count restricted to the candidates, over the other
     side, finds those already (still) answers there. *)
-let fold_delta (budget : Budget.t) (t : bterm) (r : applied) (occurrences : int list list) : int =
+let fold_delta (budget : Budget.t) (tq : Cq.t) (r : applied) (occurrences : int list list) : int =
   let holding, other =
     match r.upd.op with `Insert -> (r.after, r.before) | `Delete -> (r.before, r.after)
   in
@@ -284,37 +288,37 @@ let fold_delta (budget : Budget.t) (t : bterm) (r : applied) (occurrences : int 
     List.filter_map
       (fun args ->
         Option.map
-          (fun b -> Elim.answers ~budget ~restrict:b t.tq holding)
+          (fun b -> Elim.answers ~budget ~restrict:b tq holding)
           (binding args r.upd.fact.tuple))
       occurrences
   in
-  let cands = Elim.union (Array.of_list (Cq.free t.tq)) found in
+  let cands = Elim.union (Array.of_list (Cq.free tq)) found in
   if cands.Elim.rows = 0 then 0
-  else cands.Elim.rows - Elim.count ~budget ~restrict:cands Elim.Projecting t.tq other
+  else cands.Elim.rows - Elim.count ~budget ~restrict:cands Elim.Projecting tq other
 
-(** Fold one accepted change into one term, under the term's allowance:
-    a fold that meters past it stops, and the term alone is recounted
-    over the after-database.  The fold keeps the caller's deadline and
-    cancellation, and the steps either way are charged to the caller's
-    budget, whose exhaustion escapes. *)
-let apply_bterm ?(budget : Budget.t option) (t : bterm) (r : applied) : unit =
-  match List.assoc_opt r.upd.fact.rel t.occs with
-  | None -> t.fold_steps <- 0
+(** Fold one accepted change into one tier-B term, under the term's
+    allowance: a fold that meters past it stops, and the term alone is
+    recounted over the after-database.  The fold keeps the caller's
+    deadline and cancellation, and the steps either way are charged to
+    the caller's budget, whose exhaustion escapes. *)
+let apply_fold ?(budget : Budget.t option) (tq : Cq.t) (f : fold) (r : applied) : unit =
+  match List.assoc_opt r.upd.fact.rel f.occs with
+  | None -> f.fold_steps <- 0
   | Some occurrences ->
       (* the fold may meter its allowance, or the caller's remaining
          steps if fewer; [Budget.within b k] lets k - 1 ticks pass *)
       let caller = match budget with Some b -> b | None -> Budget.unlimited () in
-      let fb = Budget.within caller (t.full_steps + t.reads + 1) in
-      let delta = try Some (fold_delta fb t r occurrences) with Budget.Exhausted _ -> None in
-      t.fold_steps <- Budget.steps_done fb;
-      Budget.ticks_opt budget t.fold_steps;
+      let fb = Budget.within caller (f.full_steps + f.reads + 1) in
+      let delta = try Some (fold_delta fb tq r occurrences) with Budget.Exhausted _ -> None in
+      f.fold_steps <- Budget.steps_done fb;
+      Budget.ticks_opt budget f.fold_steps;
       Budget.check_opt budget;
       (match delta with
-      | Some d -> t.n <- (match r.upd.op with `Insert -> t.n + d | `Delete -> t.n - d)
+      | Some d -> f.n <- (match r.upd.op with `Insert -> f.n + d | `Delete -> f.n - d)
       | None ->
           Telemetry.incr recounts_c;
-          t.recounts <- t.recounts + 1;
-          full_count ?budget t r.after)
+          f.recounts <- f.recounts + 1;
+          full_count ?budget tq f r.after)
 
 let prepare ?(budget : Budget.t option) (psi : Ucq.t) (d : db) : state =
   let sel = Tier.select psi in
@@ -328,40 +332,18 @@ let prepare ?(budget : Budget.t option) (psi : Ucq.t) (d : db) : state =
       degraded_reason = None;
     }
   in
-  let covered =
-    Signature.subset
-      (List.fold_left
-         (fun acc a -> Signature.union acc (Structure.signature a))
-         (Signature.make [])
-         (Ucq.disjunct_structures psi))
-      (Structure.signature d.current)
-  in
   (match sel.Tier.tier with
-  | _ when not covered ->
-      (* a recompute fails identically to the one-shot path; nothing to
+  | _ when not (List.for_all (fun a -> Structure.covered_by a d.current) (Ucq.disjunct_structures psi)) ->
+      (* a recompute counts it as the one-shot path does; nothing to
          maintain *)
-      st.degraded_reason <-
-        Some "database signature does not cover the query"
-  | Tier.A -> (
-      match Dynamic_ucq.create psi d.current with
-      | Ok dyn -> st.impl <- TA dyn
-      | Error e -> st.degraded_reason <- Some (Ucqc_error.to_string e))
-  | Tier.B -> (
-      let subsets = Combinat.nonempty_subsets (Ucq.length psi) in
-      match
-        List.map
-          (fun j ->
-            let sign = if List.length j mod 2 = 1 then 1 else -1 in
-            prepare_bterm ?budget d sign (Ucq.combined psi j))
-          subsets
-      with
-      | terms ->
-          st.impl <- TB { us = Structure.universe_size d.current; terms }
-      | exception Budget.Exhausted _ ->
-          st.degraded_reason <- Some "budget exhausted while preparing"
-      | exception e ->
-          st.degraded_reason <- Some (Printexc.to_string e))
-  | Tier.C -> ());
+      st.degraded_reason <- Some "database signature does not cover the query"
+  | Tier.C -> ()
+  | tier -> (
+      (* the support is at most 63 masks under the tier gate: uncharged *)
+      match List.map (prepare_term ?budget tier d) (Ucq.support psi) with
+      | terms -> st.impl <- Live terms
+      | exception Budget.Exhausted _ -> st.degraded_reason <- Some "budget exhausted while preparing"
+      | exception e -> st.degraded_reason <- Some (Printexc.to_string e)));
   st
 
 let apply_state ?(budget : Budget.t option) (st : state) (_d : db)
@@ -371,19 +353,22 @@ let apply_state ?(budget : Budget.t option) (st : state) (_d : db)
   else if st.at_epoch <> r.epoch - 1 then (
     match st.impl with
     | TC -> st.at_epoch <- r.epoch
-    | TA _ | TB _ ->
+    | Live _ ->
         degrade st
           (Printf.sprintf "missed updates: state at epoch %d, change is %d"
              st.at_epoch r.epoch))
   else begin
     (match st.impl with
     | TC -> ()
-    | TA dyn -> (
-        match r.upd.op with
-        | `Insert -> Dynamic_ucq.insert dyn r.upd.fact.rel r.upd.fact.tuple
-        | `Delete -> Dynamic_ucq.delete dyn r.upd.fact.rel r.upd.fact.tuple)
-    | TB b -> (
-        try List.iter (fun t -> apply_bterm ?budget t r) b.terms with
+    | Live terms -> (
+        let { rel; tuple } = r.upd.fact in
+        let apply t =
+          match (t.by, r.upd.op) with
+          | Dyn dyn, `Insert -> Dynamic.insert dyn rel tuple
+          | Dyn dyn, `Delete -> Dynamic.delete dyn rel tuple
+          | Fold f, _ -> apply_fold ?budget t.tq f r
+        in
+        try List.iter apply terms with
         | Budget.Exhausted _ ->
             degrade st "budget exhausted during delta evaluation"
         | e -> degrade st (Printexc.to_string e)));
@@ -399,23 +384,36 @@ let maintained_count (st : state) (d : db) : (int * source) option =
       if st.at_epoch <> d.sepoch then None
       else
         match st.impl with
-        | TA dyn -> Some (Dynamic_ucq.count dyn, Maintained)
-        | TB b -> Some (bstate_count b, Maintained)
+        | Live terms ->
+            let value t = match t.by with Dyn dyn -> Dynamic.count dyn | Fold f -> f.n * f.spread in
+            Some (List.fold_left (fun acc t -> acc + (t.coef * value t)) 0 terms, Maintained)
         | TC -> None)
 
 let memoize (st : state) (d : db) (n : int) : unit =
   st.memo <- Some (d.sepoch, n)
 
-type term_info = { term : Cq.t; count : int; full_steps : int; fold_steps : int; recounts : int }
+type term_info = {
+  term : Cq.t;
+  coefficient : int;
+  count : int;
+  full_steps : int;
+  fold_steps : int;
+  recounts : int;
+}
 
 let terms (st : state) : term_info list =
   match st.impl with
-  | TB b ->
+  | Live terms ->
       List.map
         (fun t ->
-          { term = t.tq; count = t.n; full_steps = t.full_steps; fold_steps = t.fold_steps; recounts = t.recounts })
-        b.terms
-  | TA _ | TC -> []
+          let count, full_steps, fold_steps, recounts =
+            match t.by with
+            | Dyn dyn -> (Dynamic.count dyn, 0, 0, 0)
+            | Fold f -> (f.n, f.full_steps, f.fold_steps, f.recounts)
+          in
+          { term = t.tq; coefficient = t.coef; count; full_steps; fold_steps; recounts })
+        terms
+  | TC -> []
 
 (* ------------------------------------------------------------------ *)
 (* Rendering                                                          *)

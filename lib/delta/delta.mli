@@ -7,12 +7,14 @@
     monotonically increasing {b epoch} stamps every accepted change.
 
     Each registered query is a {!state} maintained on one of three
-    tiers (selected by {!Tier.select} from [lib/analysis]):
+    tiers (selected by {!Tier.select} from [lib/analysis]).  A tier-A
+    or tier-B state keeps one term per class of {!Ucq.support}: the
+    Lemma 26 sum [Σ c_Ψ(A, X)·ans((A, X) → D)] over the #cores with a
+    non-zero coefficient.
 
-    - {b A} — a {!Dynamic_ucq} instance: O(1) per update.
-    - {b B} — per-combined-query delta evaluation: the signed counts
-      of the [2^l - 1] combined queries [∧(Ψ|J)] are kept, and an
-      update [±R(t)] folds into each with a few restricted calls of the
+    - {b A} — each term is a {!Dynamic} instance: O(1) per update.
+    - {b B} — each term's count is kept by delta evaluation: an update
+      [±R(t)] folds into it with a few restricted calls of the
       elimination engine ({!Elim}): one projecting call per occurrence
       of [R], with the occurrence's variables bound to [t], gathers the
       candidate answers through [t]; one projecting count restricted to
@@ -80,11 +82,11 @@ val apply : db -> update -> (applied, Ucqc_error.t) result
 type state
 
 (** [prepare ?budget psi d] classifies [psi] and builds its maintained
-    state over the session's current database.  Total: tier-A/B
-    construction failures (uncovered signature, budget exhaustion)
-    fall back to an un-maintained state rather than erroring — a later
-    recompute will surface whatever the real problem is, identically
-    to the one-shot path. *)
+    state over the session's current database; [budget] is charged the
+    tier-B terms' full counts.  Total: tier-A/B construction failures
+    (an atom over a symbol the database lacks, budget exhaustion) fall
+    back to an un-maintained state rather than erroring — a later
+    recompute counts the query as the one-shot path does. *)
 val prepare : ?budget:Budget.t -> Ucq.t -> db -> state
 
 val query : state -> Ucq.t
@@ -127,21 +129,23 @@ val memoize : state -> db -> int -> unit
 
 (** {1 Inspection} *)
 
-(** One maintained tier-B term: a combined query [∧(Ψ|J)] with its
-    isolated variables dropped, its maintained count, the steps its last
-    full count charged, the steps the last change's fold metered (0 when
-    the change did not touch it), and how many folds the guard has
-    replaced by a recount. *)
+(** One maintained support term: the #core of its class (on tier B
+    with its isolated variables dropped), its coefficient, its
+    maintained count, the steps its last full count charged, the steps
+    the last change's fold metered (0 when the change did not touch
+    it), and how many folds the guard has replaced by a recount.  A
+    tier-A term reports zero steps and recounts. *)
 type term_info = {
   term : Cq.t;
+  coefficient : int;
   count : int;
   full_steps : int;
   fold_steps : int;
   recounts : int;
 }
 
-(** [terms st] is a live tier-B state's terms, one per non-empty subset
-    of disjuncts; [[]] on the other tiers. *)
+(** [terms st] is a live tier-A or tier-B state's terms, one per class
+    of {!Ucq.support}; [[]] on tier C. *)
 val terms : state -> term_info list
 
 (** {1 Rendering} *)

@@ -258,12 +258,8 @@ let touch (st : t) (name : string) (tuple : int list) : unit =
     @raise Not_q_hierarchical when [q] is not q-hierarchical.
     @raise Invalid_argument when [d]'s signature does not cover [q]'s. *)
 let create_exn (q : Cq.t) (d : Structure.t) : t =
-  if
-    not
-      (Signature.subset
-         (Structure.signature (Cq.structure q))
-         (Structure.signature d))
-  then invalid_arg "Dynamic.create: database signature does not cover the query";
+  if not (Structure.covered_by (Cq.structure q) d) then
+    invalid_arg "Dynamic.create: database signature does not cover the query";
   let st = { (build_forest q) with universe_size = Structure.universe_size d } in
   List.iter
     (fun (name, ts) ->

@@ -22,8 +22,7 @@ type search = {
 }
 
 let prepare (a : Structure.t) (b : Structure.t) : search option =
-  if not (Signature.subset (Structure.signature a) (Structure.signature b))
-  then None
+  if not (Structure.covered_by a b) then None
   else begin
     let elems = Array.of_list (Structure.universe a) in
     let idx_of = Hashtbl.create (Array.length elems) in
@@ -31,8 +30,10 @@ let prepare (a : Structure.t) (b : Structure.t) : search option =
     let atoms =
       List.concat_map
         (fun (name, ts) ->
-          let tb = Structure.relation b name in
-          List.map (fun t -> (tb, List.map (Hashtbl.find idx_of) t)) ts)
+          if ts = [] then []
+          else
+            let tb = Structure.relation b name in
+            List.map (fun t -> (tb, List.map (Hashtbl.find idx_of) t)) ts)
         (Structure.relations a)
     in
     let atoms = Array.of_list atoms in

@@ -31,8 +31,7 @@ let is_acyclic_structure (a : Structure.t) : bool =
     [a] in exact arbitrary precision, or [None] if [a] is cyclic — the
     independent oracle for the native-integer engine of [lib/db]. *)
 let count_big (a : Structure.t) (d : Structure.t) : Bigint.t option =
-  if not (Signature.subset (Structure.signature a) (Structure.signature d))
-  then Some Bigint.zero
+  if not (Structure.covered_by a d) then Some Bigint.zero
   else begin
     (* List atoms as (vars-of-atom, database tuples restricted to a canonical
        variable order).  An atom R(x, y, x) with repeated variables keeps
@@ -40,7 +39,7 @@ let count_big (a : Structure.t) (d : Structure.t) : Bigint.t option =
     let atoms =
       List.concat_map
         (fun (name, ts) ->
-          let td = Structure.relation d name in
+          let td = if ts = [] then [] else Structure.relation d name in
           List.map
             (fun qt ->
               let vars = List.sort_uniq compare qt in

@@ -92,8 +92,7 @@ let make_plan (a : Structure.t) : plan =
 (** [count_big a d] is [hom(A -> D)] in exact arbitrary precision,
     computed in time roughly [|bags| * |U(D)|^{tw+1}]. *)
 let count_big (a : Structure.t) (d : Structure.t) : Bigint.t =
-  if not (Signature.subset (Structure.signature a) (Structure.signature d))
-  then Bigint.zero
+  if not (Structure.covered_by a d) then Bigint.zero
   else if Structure.universe_size a = 0 then Bigint.one
   else begin
     let plan = make_plan a in

@@ -153,7 +153,7 @@ let render (t : t) : string =
                 Buffer.add_string buf
                   (Printf.sprintf "%s_bucket%s %d\n" f.fname
                      (labels_str
-                        (labels @ [ ("le", fmt_value (Rolling.bucket_upper b)) ]))
+                        (labels @ [ ("le", fmt_value (Telemetry.bucket_upper b)) ]))
                      !cum)
               end)
             counts;

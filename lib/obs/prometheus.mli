@@ -10,8 +10,8 @@
 
     {b Naming.}  Metric names are sanitized ([[a-zA-Z0-9_:]], leading
     digit prefixed) and counters get the conventional [_total] suffix
-    appended if missing.  Histograms use the native log₂ bucket layout
-    shared with {!Telemetry} and {!Rolling}: cumulative [_bucket] lines
+    appended if missing.  Histograms use the log₂ bucket layout of
+    {!Telemetry.bucket_of}: cumulative [_bucket] lines
     at the populated power-of-two upper edges plus [+Inf], and the
     standard [_sum]/[_count] pair. *)
 
@@ -42,7 +42,7 @@ val scalar :
   unit
 
 (** [log2_histogram t name ~counts ~sum] adds one histogram sample set
-    from a 64-bucket log₂ count array (the {!Rolling}/{!Telemetry}
+    from a 64-bucket log₂ count array ({!Telemetry.bucket_of}'s
     layout). *)
 val log2_histogram :
   t ->

@@ -1,34 +1,6 @@
 (** Lock-free rolling-window histograms.  See the interface for the
     contract and the concurrency caveats. *)
 
-let buckets = 64
-
-let bucket_of (v : float) : int =
-  if v <= 0. || Float.is_nan v then 0
-  else begin
-    let _, e = Float.frexp v in
-    max 0 (min 63 (e + 31))
-  end
-
-let bucket_upper (b : int) : float = Float.ldexp 1. (b - 31)
-
-let quantile_of_counts (counts : int array) (p : float) : float =
-  let total = Array.fold_left ( + ) 0 counts in
-  if total = 0 then 0.
-  else begin
-    let p = Float.max 0. (Float.min 1. p) in
-    let rank = max 1 (int_of_float (Float.ceil (p *. float_of_int total))) in
-    let n = Array.length counts in
-    let rec go i cum =
-      if i >= n then bucket_upper (n - 1)
-      else begin
-        let cum = cum + counts.(i) in
-        if cum >= rank then bucket_upper i else go (i + 1) cum
-      end
-    in
-    go 0 0
-  end
-
 (* One slot holds the counts for one window period.  [period] names the
    period the counts belong to; observers CAS it forward when the slot
    rotates and the winner zeroes the buckets. *)
@@ -48,7 +20,7 @@ let create ?(window_s = 60.) ?(slots = 6) () : t =
       Array.init (slots + 1) (fun _ ->
           {
             period = Atomic.make (-1);
-            counts = Array.init buckets (fun _ -> Atomic.make 0);
+            counts = Array.init Telemetry.buckets (fun _ -> Atomic.make 0);
           });
   }
 
@@ -66,7 +38,7 @@ let observe ?now (t : t) (v : float) : unit =
        landing between the CAS and the zeroing can be lost — accepted *)
     if Atomic.compare_and_set s.period cur pi then
       Array.iter (fun c -> Atomic.set c 0) s.counts;
-  Atomic.incr s.counts.(bucket_of v)
+  Atomic.incr s.counts.(Telemetry.bucket_of v)
 
 let live_fold ?now (t : t) (f : 'a -> slot -> 'a) (init : 'a) : 'a =
   let now = match now with Some n -> n | None -> Unix.gettimeofday () in
@@ -81,7 +53,7 @@ let live_fold ?now (t : t) (f : 'a -> slot -> 'a) (init : 'a) : 'a =
     init t.slots
 
 let snapshot ?now (t : t) : int array =
-  let out = Array.make buckets 0 in
+  let out = Array.make Telemetry.buckets 0 in
   live_fold ?now t
     (fun () s ->
       Array.iteri (fun i c -> out.(i) <- out.(i) + Atomic.get c) s.counts)
@@ -94,4 +66,4 @@ let count ?now (t : t) : int =
     0
 
 let quantile ?now (t : t) (p : float) : float =
-  quantile_of_counts (snapshot ?now t) p
+  Telemetry.quantile_of_counts (snapshot ?now t) p

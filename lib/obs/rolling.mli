@@ -4,8 +4,9 @@
     Prometheus (rate math happens scrape-side) but wrong for "p99 over
     the last minute" — a resident server's lifetime histogram is
     dominated by history.  A {!t} keeps the same 64-bucket base-2 log
-    layout sliced into time slots that expire as the window slides, so
-    quantiles always describe recent traffic.
+    layout ({!Telemetry.bucket_of}) sliced into time slots that expire
+    as the window slides, so quantiles always describe recent
+    traffic.
 
     {b Concurrency.}  [observe] is lock-free: one CAS when a slot
     rotates into a new period, atomic increments otherwise.  A rotation
@@ -19,25 +20,6 @@
     count arrays in either order yields identical quantiles — at the
     cost of up-to-2× overshoot, which is the right trade for log-scale
     latency monitoring. *)
-
-(** Number of buckets (64), same layout as {!Telemetry.histogram}:
-    bucket [b] covers [[2^(b-32), 2^(b-31))]. *)
-val buckets : int
-
-(** [bucket_of v] is the bucket index of value [v]; non-positive and NaN
-    values clamp to bucket 0, huge values clamp to bucket 63. *)
-val bucket_of : float -> int
-
-(** [bucket_upper b] is the exclusive upper edge [2^(b-31)] of bucket
-    [b] — the value quantile extraction reports. *)
-val bucket_upper : int -> float
-
-(** [quantile_of_counts counts p] extracts the [p]-quantile (clamped to
-    [[0, 1]]) from a log₂ bucket-count array: the upper edge of the
-    bucket containing the rank-⌈p·n⌉ observation.  [0.] when the array
-    is empty of observations.  Works on {!Telemetry.histogram_snapshot}
-    counts and rolling-window snapshots alike. *)
-val quantile_of_counts : int array -> float -> float
 
 type t
 
@@ -58,5 +40,6 @@ val snapshot : ?now:float -> t -> int array
 (** [count ?now t] is the number of live observations. *)
 val count : ?now:float -> t -> int
 
-(** [quantile ?now t p] = [quantile_of_counts (snapshot ?now t) p]. *)
+(** [quantile ?now t p] =
+    [Telemetry.quantile_of_counts (snapshot ?now t) p]. *)
 val quantile : ?now:float -> t -> float -> float

@@ -86,6 +86,16 @@ let relation (a : t) (name : string) : tuple list =
 
 let relations (a : t) : (string * tuple list) list = a.relations
 
+(** [covered_by a d]: every symbol with a tuple in [a] is a symbol of [d]
+    of the same arity, so [d] holds a relation for every atom of [a]. *)
+let covered_by (a : t) (d : t) : bool =
+  List.for_all2
+    (fun (s : Signature.symbol) (_, ts) ->
+      match ts with
+      | [] -> true
+      | _ -> ( match Signature.find_opt d.signature s.name with Some s' -> s'.arity = s.arity | None -> false))
+    a.signature a.relations
+
 (** [size a] is the encoding size |A| = |τ| + |U(A)| + Σ_R |R^A|·arity(R)
     from Section 2.2. *)
 let size (a : t) : int =

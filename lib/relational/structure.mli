@@ -24,6 +24,11 @@ val relation : t -> string -> tuple list
 
 val relations : t -> (string * tuple list) list
 
+(** [covered_by a d]: every symbol with a tuple in [a] is a symbol of [d]
+    with the same arity.  A query [a] that fails it has no answer in
+    [d]; symbols of [a]'s signature that no atom uses are not read. *)
+val covered_by : t -> t -> bool
+
 (** [size a] is the encoding size [|A| = |τ| + |U(A)| + Σ_R |R^A|·arity(R)]
     (Section 2.2). *)
 val size : t -> int

@@ -97,10 +97,40 @@ type gauge = { gname : string; gcell : float Atomic.t }
 
 type histogram = {
   hname : string;
-  buckets : int Atomic.t array; (* 64 base-2 log buckets *)
+  buckets : int Atomic.t array; (* [buckets] base-2 log buckets *)
   hcount : int Atomic.t;
   hsum_micro : int Atomic.t; (* sum scaled by 1e6, fetch-and-add friendly *)
 }
+
+(* The log₂ bucket layout of every histogram: bucket b covers
+   [2^(b-32), 2^(b-31)), the bucket of the binary exponent. *)
+let buckets = 64
+
+let bucket_of (v : float) : int =
+  if v <= 0. || Float.is_nan v then 0
+  else begin
+    let _, e = Float.frexp v in
+    max 0 (min (buckets - 1) (e + 31))
+  end
+
+let bucket_upper (b : int) : float = Float.ldexp 1. (b - 31)
+
+let quantile_of_counts (counts : int array) (p : float) : float =
+  let total = Array.fold_left ( + ) 0 counts in
+  if total = 0 then 0.
+  else begin
+    let p = Float.max 0. (Float.min 1. p) in
+    let rank = max 1 (int_of_float (Float.ceil (p *. float_of_int total))) in
+    let n = Array.length counts in
+    let rec go i cum =
+      if i >= n then bucket_upper (n - 1)
+      else begin
+        let cum = cum + counts.(i) in
+        if cum >= rank then bucket_upper i else go (i + 1) cum
+      end
+    in
+    go 0 0
+  end
 
 let counters : (string, counter) Hashtbl.t = Hashtbl.create 32
 let gauges : (string, gauge) Hashtbl.t = Hashtbl.create 16
@@ -136,18 +166,10 @@ let histogram (name : string) : histogram =
   intern histograms name (fun () ->
       {
         hname = name;
-        buckets = Array.init 64 (fun _ -> Atomic.make 0);
+        buckets = Array.init buckets (fun _ -> Atomic.make 0);
         hcount = Atomic.make 0;
         hsum_micro = Atomic.make 0;
       })
-
-(* bucket of the binary exponent: bucket b covers [2^(b-32), 2^(b-31)) *)
-let bucket_of (v : float) : int =
-  if v <= 0. || Float.is_nan v then 0
-  else begin
-    let _, e = Float.frexp v in
-    max 0 (min 63 (e + 31))
-  end
 
 let observe (h : histogram) (v : float) : unit =
   if Atomic.get enabled_flag then begin

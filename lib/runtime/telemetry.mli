@@ -91,12 +91,34 @@ val gauge : string -> gauge
 val set_gauge : gauge -> float -> unit
 
 (** [histogram name] interns a base-2 log-scale histogram: [observe]
-    drops a value into the bucket of its binary exponent (bucket [b]
-    covers [[2^(b-32), 2^(b-31))]), so nine decades of latencies or
+    drops a value into its {!bucket_of}, so nine decades of latencies or
     sizes fit in 64 fixed buckets with no per-observation allocation. *)
 val histogram : string -> histogram
 
 val observe : histogram -> float -> unit
+
+(** {2 The log₂ bucket layout}
+
+    One layout for every histogram: these, the rolling windows of
+    [Rolling] and the Prometheus exposition. *)
+
+(** Number of buckets (64): bucket [b] covers [[2^(b-32), 2^(b-31))]. *)
+val buckets : int
+
+(** [bucket_of v] is the bucket index of value [v]; non-positive and NaN
+    values clamp to bucket 0, huge values clamp to bucket 63. *)
+val bucket_of : float -> int
+
+(** [bucket_upper b] is the exclusive upper edge [2^(b-31)] of bucket
+    [b] — the value quantile extraction reports. *)
+val bucket_upper : int -> float
+
+(** [quantile_of_counts counts p] extracts the [p]-quantile (clamped to
+    [[0, 1]]) from a bucket-count array: the upper edge of the bucket
+    containing the rank-⌈p·n⌉ observation.  [0.] when the array is
+    empty of observations.  Works on {!histogram_snapshot} counts and
+    rolling-window snapshots alike. *)
+val quantile_of_counts : int array -> float -> float
 
 (** {1 Metric snapshots}
 

@@ -1117,7 +1117,7 @@ let render_metrics (t : t) : string =
           gauge
             ~labels:[ ("op", op); ("quantile", qs); ("window", "60s") ]
             "ucqc_rolling_latency_ms"
-            (Rolling.quantile_of_counts counts q))
+            (Telemetry.quantile_of_counts counts q))
         [ ("0.5", 0.5); ("0.95", 0.95); ("0.99", 0.99) ])
     (("all", t.rolling_all) :: t.rolling_by_op);
   Prometheus.render p

@@ -141,7 +141,16 @@ let test_karp_luby_empty () =
   let db = Structure.make sg_e [ 0; 1 ] [] in
   let psi = Ucq.make [ mkcq 2 [ [ 0; 1 ] ] [ 0; 1 ] ] in
   let est = Karp_luby.estimate ~samples:100 psi db in
-  Alcotest.(check bool) "zero estimate" true (est.Karp_luby.value = 0.)
+  Alcotest.(check bool) "zero estimate" true (est.Karp_luby.value = 0.);
+  (* a disjunct over a symbol the database lacks has no answer, and its
+     membership test reads no relation: every draw from E(x, y) hits *)
+  let sg_ef = Signature.make [ Signature.symbol "E" 2; Signature.symbol "F" 2 ] in
+  let atom rel = Cq.make (Structure.make sg_ef [ 0; 1 ] [ (rel, [ [ 0; 1 ] ]) ]) [ 0; 1 ] in
+  let db = Generators.path_db 3 in
+  let est = Karp_luby.estimate ~samples:100 (Ucq.make [ atom "F"; atom "E" ]) db in
+  Alcotest.(check (float 0.)) "F(x, y) ; E(x, y) estimates E's edges"
+    (float_of_int (List.length (Structure.relation db "E")))
+    est.Karp_luby.value
 
 let test_fpras_budget () =
   let db = Generators.random_digraph ~seed:59 6 12 in

@@ -182,7 +182,12 @@ let test_tier_assignment () =
   Alcotest.(check string) "tier B" "B"
     (Tier.to_string (tier (Ucq.make [ tier_b_q ]) d_e));
   Alcotest.(check string) "tier C" "C"
-    (Tier.to_string (tier (Ucq.make [ tier_c_q ]) d_e))
+    (Tier.to_string (tier (Ucq.make [ tier_c_q ]) d_e));
+  (* the union of the triangle's three edges: combining all three gives
+     the triangle, which is neither q-hierarchical nor acyclic *)
+  let edge u v = mkq sg_e 3 [ ("E", [ [ u; v ] ]) ] [ 0; 1; 2 ] in
+  Alcotest.(check string) "the triangle's edges: tier C" "C"
+    (Tier.to_string (tier (Ucq.make [ edge 0 1; edge 1 2; edge 2 0 ]) d_e))
 
 (** Drive [steps] random updates through a session over [init] (by
     default the [n] elements with no tuple), folding every change into
@@ -242,6 +247,23 @@ let test_maintained_equivalence () =
   let bool_b = mkq sg_e 3 [ ("E", [ [ 0; 2 ]; [ 2; 1 ] ]) ] [] in
   drive_and_check ~seed:32 ~steps:60 ~n:4 sg_e
     [ ("tier-b", psi_b); ("tier-b boolean", Ucq.make [ bool_b ]) ]
+
+(* (x) :- R(x) ; R(x), S(x, y): the second disjunct and the pair
+   combine to one class whose coefficients cancel, so of three subsets
+   one support term, R(x), is maintained *)
+let test_tier_a_support () =
+  let has_r = mkq sg_rs 1 [ ("R", [ [ 0 ] ]) ] [ 0 ] in
+  let psi = Ucq.make [ has_r; tier_a_q ] in
+  let d = Delta.open_db (Structure.make sg_rs [ 0; 1; 2; 3 ] []) in
+  let st = Delta.prepare psi d in
+  Alcotest.(check string) "runs on tier A" "A" (Tier.to_string (Delta.effective_tier st));
+  (match Delta.terms st with
+  | [ t ] ->
+      Alcotest.(check int) "coefficient" 1 t.Delta.coefficient;
+      Alcotest.(check bool) "the term is R(x)" true (Cq.isomorphic t.Delta.term has_r);
+      Alcotest.(check int) "a Dynamic term reports no steps" 0 (t.Delta.full_steps + t.Delta.fold_steps)
+  | ts -> Alcotest.failf "%d terms, not one" (List.length ts));
+  drive_and_check ~seed:38 ~steps:80 ~n:4 sg_rs [ ("R(x) ; R(x), S(x, y)", psi) ]
 
 let test_tier_b_isolated_free () =
   (* (x, w) :- E(x, z), E(z, y) with w isolated free: the count picks
@@ -553,6 +575,26 @@ let qcheck_delta =
         true);
   ]
 
+(* the first union from [seed] on that Tier.select maintains (tier A or
+   B): at most six disjuncts over E and R *)
+let rec maintained_ucq (seed : int) : Ucq.t =
+  let psi = Qgen.random_ucq ~seed ~max_disjuncts:6 ~max_vars:4 ~max_atoms:3 sg_er in
+  if (Tier.select psi).Tier.tier = Tier.C then maintained_ucq (seed + 1) else psi
+
+(* qcheck: a tier-A/B state keeps one term per support class, and its
+   count follows every update *)
+let qcheck_support =
+  let open QCheck in
+  [
+    Test.make ~name:"support terms match recomputation" ~count:40 (int_range 0 10_000) (fun seed ->
+        let psi = maintained_ucq seed in
+        match drive ~seed ~steps:30 ~n:4 sg_er [ ("random union", psi) ] with
+        | _, [ (_, st) ] ->
+            Delta.effective_tier st = (Tier.select psi).Tier.tier
+            && List.length (Delta.terms st) = List.length (Ucq.support psi)
+        | _ -> false);
+  ]
+
 (* fuzz: the delta-line parser is total and deterministic on corpus
    files and raw random bytes, and spans stay inside the input *)
 let check_total (text : string) : unit =
@@ -624,6 +666,7 @@ let suite =
         Alcotest.test_case "tier assignment" `Quick test_tier_assignment;
         Alcotest.test_case "maintained counts match recomputation" `Quick
           test_maintained_equivalence;
+        Alcotest.test_case "a tier-A union keeps its support" `Quick test_tier_a_support;
         Alcotest.test_case "tier B with isolated free variable" `Quick
           test_tier_b_isolated_free;
         Alcotest.test_case "tier B union" `Quick test_tier_b_union;
@@ -639,5 +682,5 @@ let suite =
           test_jobs_equivalence;
         Alcotest.test_case "fuzz corpus" `Quick test_fuzz_corpus;
       ]
-      @ List.map QCheck_alcotest.to_alcotest (qcheck_delta @ qcheck_fuzz) );
+      @ List.map QCheck_alcotest.to_alcotest (qcheck_delta @ qcheck_support @ qcheck_fuzz) );
   ]

@@ -53,27 +53,11 @@ let test_result_convention () =
   | Error e ->
       Alcotest.fail ("expected Unsupported, got " ^ Ucqc_error.to_string e)
   | Ok _ -> Alcotest.fail "non-q-hierarchical query accepted");
-  (match Dynamic.create star_q (Generators.random_digraph ~seed:71 8 20) with
+  match Dynamic.create star_q (Generators.random_digraph ~seed:71 8 20) with
   | Ok st ->
       Alcotest.(check int) "result create counts"
         (recount star_q (Generators.random_digraph ~seed:71 8 20))
         (Dynamic.count st)
-  | Error e -> Alcotest.fail (Ucqc_error.to_string e));
-  let e1 = mkq sg_e 3 [ ("E", [ [ 0; 1 ] ]) ] [ 0; 1; 2 ] in
-  let e2 = mkq sg_e 3 [ ("E", [ [ 1; 2 ] ]) ] [ 0; 1; 2 ] in
-  let e3 = mkq sg_e 3 [ ("E", [ [ 2; 0 ] ]) ] [ 0; 1; 2 ] in
-  let db3 = Structure.make sg_e [ 0; 1; 2 ] [] in
-  (match Dynamic_ucq.create (Ucq.make [ e1; e2; e3 ]) db3 with
-  | Error (Ucqc_error.Unsupported _) -> ()
-  | Error e ->
-      Alcotest.fail ("expected Unsupported, got " ^ Ucqc_error.to_string e)
-  | Ok _ -> Alcotest.fail "non-exhaustively-qh union accepted");
-  match
-    Dynamic_ucq.create
-      (Ucq.make [ mkq sg_rs 1 [ ("R", [ [ 0 ] ]) ] [ 0 ] ])
-      (Structure.make sg_rs [ 0; 1 ] [ ("R", [ [ 1 ] ]) ])
-  with
-  | Ok st -> Alcotest.(check int) "union result create counts" 1 (Dynamic_ucq.count st)
   | Error e -> Alcotest.fail (Ucqc_error.to_string e)
 
 let test_initial_counts () =
@@ -190,59 +174,6 @@ let test_isolated_free_variable () =
   let st = Dynamic.create_exn q db in
   Alcotest.(check int) "isolated factor" (recount q db) (Dynamic.count st)
 
-let test_dynamic_ucq () =
-  (* Ψ(x) = (∃y S(x, y)) ∨ R(x): exhaustively q-hierarchical *)
-  let out_edges = mkq sg_rs 2 [ ("S", [ [ 0; 1 ] ]) ] [ 0 ] in
-  let has_r = mkq sg_rs 1 [ ("R", [ [ 0 ] ]) ] [ 0 ] in
-  let psi = Ucq.make [ out_edges; has_r ] in
-  Alcotest.(check bool) "exhaustively qh" true
-    (Ucq.is_exhaustively_q_hierarchical psi);
-  let n = 5 in
-  let universe = List.init n (fun i -> i) in
-  let empty = Structure.make sg_rs universe [] in
-  let st = Dynamic_ucq.create_exn psi empty in
-  Alcotest.(check int) "empty union count" 0 (Dynamic_ucq.count st);
-  let current = Hashtbl.create 16 in
-  let rng = Random.State.make [| 77 |] in
-  for step = 1 to 100 do
-    let symbols = Structure.signature empty in
-    let s = List.nth symbols (Random.State.int rng (List.length symbols)) in
-    let tuple = List.init s.Signature.arity (fun _ -> Random.State.int rng n) in
-    if Random.State.bool rng then begin
-      Dynamic_ucq.insert st s.Signature.name tuple;
-      Hashtbl.replace current (s.Signature.name, tuple) ()
-    end
-    else begin
-      Dynamic_ucq.delete st s.Signature.name tuple;
-      Hashtbl.remove current (s.Signature.name, tuple)
-    end;
-    if step mod 10 = 0 then begin
-      let rels =
-        List.map
-          (fun (sym : Signature.symbol) ->
-            ( sym.name,
-              Hashtbl.fold
-                (fun (rn, t) () acc -> if rn = sym.name then t :: acc else acc)
-                current [] ))
-          symbols
-      in
-      let db = Structure.make sg_rs universe rels in
-      Alcotest.(check int)
-        (Printf.sprintf "union at step %d" step)
-        (Ucq.count_naive psi db) (Dynamic_ucq.count st)
-    end
-  done
-
-let test_dynamic_ucq_rejects () =
-  (* the triangle-of-unions combined query is not hierarchical *)
-  let e1 = mkq sg_e 3 [ ("E", [ [ 0; 1 ] ]) ] [ 0; 1; 2 ] in
-  let e2 = mkq sg_e 3 [ ("E", [ [ 1; 2 ] ]) ] [ 0; 1; 2 ] in
-  let e3 = mkq sg_e 3 [ ("E", [ [ 2; 0 ] ]) ] [ 0; 1; 2 ] in
-  let psi = Ucq.make [ e1; e2; e3 ] in
-  let db = Structure.make sg_e [ 0; 1; 2 ] [] in
-  Alcotest.check_raises "rejected" Dynamic_ucq.Not_exhaustively_q_hierarchical
-    (fun () -> ignore (Dynamic_ucq.create_exn psi db))
-
 (* random q-hierarchical query generator: a random variable forest with
    free variables closed upwards, and one atom per node spanning its
    ancestor chain (fresh relation symbol each) *)
@@ -338,9 +269,6 @@ let suite =
         Alcotest.test_case "free twins" `Quick test_free_twins;
         Alcotest.test_case "isolated free variable" `Quick
           test_isolated_free_variable;
-        Alcotest.test_case "dynamic UCQ (exhaustively q-hierarchical)" `Quick
-          test_dynamic_ucq;
-        Alcotest.test_case "dynamic UCQ rejects" `Quick test_dynamic_ucq_rejects;
       ]
       @ List.map QCheck_alcotest.to_alcotest qcheck_dynamic );
   ]

@@ -8,67 +8,67 @@
 (* ------------------------------------------------------------------ *)
 
 let test_rolling_buckets () =
-  Alcotest.(check int) "64 buckets" 64 Rolling.buckets;
-  Alcotest.(check int) "zero clamps low" 0 (Rolling.bucket_of 0.);
-  Alcotest.(check int) "negative clamps low" 0 (Rolling.bucket_of (-3.));
-  Alcotest.(check int) "nan clamps low" 0 (Rolling.bucket_of Float.nan);
-  Alcotest.(check int) "huge clamps high" 63 (Rolling.bucket_of 1e40);
+  Alcotest.(check int) "64 buckets" 64 Telemetry.buckets;
+  Alcotest.(check int) "zero clamps low" 0 (Telemetry.bucket_of 0.);
+  Alcotest.(check int) "negative clamps low" 0 (Telemetry.bucket_of (-3.));
+  Alcotest.(check int) "nan clamps low" 0 (Telemetry.bucket_of Float.nan);
+  Alcotest.(check int) "huge clamps high" 63 (Telemetry.bucket_of 1e40);
   (* 1.0 = 2^0 lands in the bucket whose range is [2^-1, 2^0)... the
      layout fact that matters is only edge consistency: every value is
      strictly below its bucket's upper edge and at or above the
      previous bucket's *)
   List.iter
     (fun v ->
-      let b = Rolling.bucket_of v in
+      let b = Telemetry.bucket_of v in
       Alcotest.(check bool)
         (Printf.sprintf "%g below upper edge of bucket %d" v b)
         true
-        (v < Rolling.bucket_upper b || b = 63);
+        (v < Telemetry.bucket_upper b || b = 63);
       if b > 0 then
         Alcotest.(check bool)
           (Printf.sprintf "%g at/above lower edge of bucket %d" v b)
           true
-          (v >= Rolling.bucket_upper (b - 1)))
+          (v >= Telemetry.bucket_upper (b - 1)))
     [ 0.001; 0.5; 1.; 1.5; 2.; 3.; 100.; 1024.; 5e8 ]
 
 let test_rolling_quantiles () =
-  let counts = Array.make Rolling.buckets 0 in
+  let counts = Array.make Telemetry.buckets 0 in
   Alcotest.(check (float 0.)) "empty quantile is 0" 0.
-    (Rolling.quantile_of_counts counts 0.99);
+    (Telemetry.quantile_of_counts counts 0.99);
   (* a single sample: every quantile reports its bucket's upper edge *)
-  counts.(Rolling.bucket_of 5.) <- 1;
-  let edge = Rolling.bucket_upper (Rolling.bucket_of 5.) in
+  counts.(Telemetry.bucket_of 5.) <- 1;
+  let edge = Telemetry.bucket_upper (Telemetry.bucket_of 5.) in
   List.iter
     (fun p ->
       Alcotest.(check (float 0.))
         (Printf.sprintf "single-sample p%g" p)
         edge
-        (Rolling.quantile_of_counts counts p))
+        (Telemetry.quantile_of_counts counts p))
     [ 0.; 0.5; 0.99; 1. ];
   (* 90 fast + 10 slow: p50 reports the fast edge, p99 the slow edge *)
-  let counts = Array.make Rolling.buckets 0 in
-  counts.(Rolling.bucket_of 1.) <- 90;
-  counts.(Rolling.bucket_of 1000.) <- 10;
+  let counts = Array.make Telemetry.buckets 0 in
+  counts.(Telemetry.bucket_of 1.) <- 90;
+  counts.(Telemetry.bucket_of 1000.) <- 10;
   Alcotest.(check (float 0.)) "p50 in the fast bucket"
-    (Rolling.bucket_upper (Rolling.bucket_of 1.))
-    (Rolling.quantile_of_counts counts 0.5);
+    (Telemetry.bucket_upper (Telemetry.bucket_of 1.))
+    (Telemetry.quantile_of_counts counts 0.5);
   Alcotest.(check (float 0.)) "p99 in the slow bucket"
-    (Rolling.bucket_upper (Rolling.bucket_of 1000.))
-    (Rolling.quantile_of_counts counts 0.99);
+    (Telemetry.bucket_upper (Telemetry.bucket_of 1000.))
+    (Telemetry.quantile_of_counts counts 0.99);
   (* merge-order independence: summing two count arrays in either order
      yields the same quantiles *)
-  let a = Array.make Rolling.buckets 0 and b = Array.make Rolling.buckets 0 in
+  let a = Array.make Telemetry.buckets 0 and b = Array.make Telemetry.buckets 0 in
   a.(3) <- 5;
   a.(10) <- 2;
   b.(10) <- 4;
   b.(40) <- 1;
-  let merge x y = Array.init Rolling.buckets (fun i -> x.(i) + y.(i)) in
+  let merge x y = Array.init Telemetry.buckets (fun i -> x.(i) + y.(i)) in
   List.iter
     (fun p ->
       Alcotest.(check (float 0.))
         (Printf.sprintf "merge commutes at p%g" p)
-        (Rolling.quantile_of_counts (merge a b) p)
-        (Rolling.quantile_of_counts (merge b a) p))
+        (Telemetry.quantile_of_counts (merge a b) p)
+        (Telemetry.quantile_of_counts (merge b a) p))
     [ 0.1; 0.5; 0.9; 0.99 ]
 
 let test_rolling_window_expiry () =
@@ -123,8 +123,8 @@ let test_prom_roundtrip () =
     ~labels:[ ("op", "count"); ("quantile", "0.99") ]
     "ucqc_latency" 12.5;
   let counts = Array.make 64 0 in
-  counts.(Rolling.bucket_of 1.) <- 10;
-  counts.(Rolling.bucket_of 100.) <- 2;
+  counts.(Telemetry.bucket_of 1.) <- 10;
+  counts.(Telemetry.bucket_of 100.) <- 2;
   Prometheus.log2_histogram p ~labels:[ ("op", "count") ] "ucqc_steps"
     ~counts ~sum:230.;
   let text = Prometheus.render p in

@@ -309,7 +309,7 @@ let test_histogram_empty () =
       Alcotest.(check int) "no bucket populated" 0
         (Array.fold_left ( + ) 0 s.Telemetry.hs_counts);
       Alcotest.(check (float 0.)) "empty quantile is 0" 0.
-        (Rolling.quantile_of_counts s.Telemetry.hs_counts 0.99))
+        (Telemetry.quantile_of_counts s.Telemetry.hs_counts 0.99))
 
 let test_histogram_single_sample () =
   scoped (fun () ->
@@ -322,8 +322,8 @@ let test_histogram_single_sample () =
       Alcotest.(check int) "exactly one bucket" 1
         (Array.fold_left ( + ) 0 s.Telemetry.hs_counts);
       (* every quantile of a single sample reports that bucket's edge *)
-      let p50 = Rolling.quantile_of_counts s.Telemetry.hs_counts 0.5 in
-      let p99 = Rolling.quantile_of_counts s.Telemetry.hs_counts 0.99 in
+      let p50 = Telemetry.quantile_of_counts s.Telemetry.hs_counts 0.5 in
+      let p99 = Telemetry.quantile_of_counts s.Telemetry.hs_counts 0.99 in
       Alcotest.(check (float 0.)) "p50 = p99 for one sample" p50 p99;
       Alcotest.(check bool) "edge bounds the sample" true (p50 >= 3.5))
 

@@ -336,6 +336,43 @@ let () =
           in
           agree (Printf.sprintf "family seed %d" seed) shuffled
         done);
+    (* live-update states: random unions that Tier.select maintains
+       (tier A or B) under random single-tuple update streams; after
+       every change, the maintained count against a naive recount and
+       the state's terms against the Lemma 26 support, one per class *)
+    section "fuzz.maintained" (fun () ->
+        let sg = Signature.make [ Signature.symbol "E" 2; Signature.symbol "R" 1; Signature.symbol "T" 3 ] in
+        let n = 4 in
+        for seed = 0 to iters 300 do
+          let psi = Qgen.random_ucq ~seed ~max_disjuncts:(1 + (seed mod 6)) ~max_vars:4 ~max_atoms:3 sg in
+          if (Tier.select psi).Tier.tier <> Tier.C then begin
+            let d = Delta.open_db (Structure.make sg (List.init n Fun.id) []) in
+            let st = Delta.prepare psi d in
+            let support = List.length (Ucq.support psi) in
+            let rng = Random.State.make [| seed |] in
+            for step = 1 to 25 do
+              let s = List.nth sg (Random.State.int rng (List.length sg)) in
+              let tuple = List.init s.Signature.arity (fun _ -> Random.State.int rng n) in
+              let op = if Random.State.bool rng then `Insert else `Delete in
+              match Delta.apply d { Delta.op; fact = { Delta.rel = s.Signature.name; tuple } } with
+              | Error e -> report "MAINTAINED UPDATE REJECTED seed %d: %s" seed (Ucqc_error.to_string e)
+              | Ok r when r.Delta.changed -> (
+                  Delta.apply_state st d r;
+                  if List.length (Delta.terms st) <> support then
+                    report "MAINTAINED TERMS seed %d step %d: %d, support %d" seed step
+                      (List.length (Delta.terms st)) support;
+                  match Delta.maintained_count st d with
+                  | Some (got, _) ->
+                      let want = Ucq.count_naive psi (Delta.structure d) in
+                      if got <> want then
+                        report "MAINTAINED COUNT MISMATCH seed %d step %d: %d vs %d" seed step got want
+                  | None ->
+                      report "MAINTAINED STATE LOST seed %d step %d: %s" seed step
+                        (Option.value ~default:"no reason" (Delta.degraded st)))
+              | Ok _ -> ()
+            done
+          end
+        done);
     (* serve-mode wire protocol: the crash corpus and random bytes
        through Protocol.parse_request — it must never raise, must be
        deterministic, and every response it leads to must render as one
