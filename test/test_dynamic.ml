@@ -174,6 +174,30 @@ let test_isolated_free_variable () =
   let st = Dynamic.create_exn q db in
   Alcotest.(check int) "isolated factor" (recount q db) (Dynamic.count st)
 
+let test_dynamic_ucq_rejects () =
+  (* the triangle-of-unions combined query is not hierarchical: Dynamic
+     refuses it, and the live-update engine maintains no term of the
+     union (tier C) *)
+  let e1 = mkq sg_e 3 [ ("E", [ [ 0; 1 ] ]) ] [ 0; 1; 2 ] in
+  let e2 = mkq sg_e 3 [ ("E", [ [ 1; 2 ] ]) ] [ 0; 1; 2 ] in
+  let e3 = mkq sg_e 3 [ ("E", [ [ 2; 0 ] ]) ] [ 0; 1; 2 ] in
+  let psi = Ucq.make [ e1; e2; e3 ] in
+  let db = Structure.make sg_e [ 0; 1; 2 ] [] in
+  Alcotest.(check bool) "not exhaustively qh" false
+    (Ucq.is_exhaustively_q_hierarchical psi);
+  (match Dynamic.create (Ucq.combined_all psi) db with
+  | Error (Ucqc_error.Unsupported _) -> ()
+  | Error e ->
+      Alcotest.fail ("expected Unsupported, got " ^ Ucqc_error.to_string e)
+  | Ok _ -> Alcotest.fail "the combined triangle accepted");
+  let d = Delta.open_db db in
+  let st = Delta.prepare psi d in
+  Alcotest.(check string) "rejected: tier C" "C"
+    (Tier.to_string (Delta.effective_tier st));
+  Alcotest.(check int) "no maintained terms" 0 (List.length (Delta.terms st));
+  Alcotest.(check bool) "no maintained count" true
+    (Delta.maintained_count st d = None)
+
 (* random q-hierarchical query generator: a random variable forest with
    free variables closed upwards, and one atom per node spanning its
    ancestor chain (fresh relation symbol each) *)
@@ -269,6 +293,7 @@ let suite =
         Alcotest.test_case "free twins" `Quick test_free_twins;
         Alcotest.test_case "isolated free variable" `Quick
           test_isolated_free_variable;
+        Alcotest.test_case "dynamic UCQ rejects" `Quick test_dynamic_ucq_rejects;
       ]
       @ List.map QCheck_alcotest.to_alcotest qcheck_dynamic );
   ]
